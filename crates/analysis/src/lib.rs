@@ -696,7 +696,7 @@ mod tests {
     use cm_vm::{PrimOp, Value};
     use std::rc::Rc;
 
-    fn code(instrs: Vec<Instr>) -> Code {
+    fn code(instrs: Vec<Instr>) -> Rc<Code> {
         Code::build("t", 0, false, instrs, vec![Value::fixnum(1)], vec![])
     }
 
@@ -881,14 +881,14 @@ mod tests {
 
     #[test]
     fn rejects_capture_out_of_bounds_in_child() {
-        let child = Rc::new(Code::build(
+        let child = Code::build(
             "child",
             0,
             false,
             vec![Instr::CaptureRef(2), Instr::Return],
             vec![],
             vec![],
-        ));
+        );
         let parent = Code::build(
             "parent",
             0,

@@ -993,14 +993,14 @@ fn rebuild(
             other => instrs.push(other.clone()),
         }
     }
-    Rc::new(Code::build(
+    Code::build(
         code.name.clone(),
         code.arity_required,
         code.rest,
         instrs,
         code.consts.clone(),
         children,
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -1011,7 +1011,7 @@ mod tests {
     /// Hand-builds `main` calling child 0 under an attachment:
     /// `const v; push-attach; make-closure; call/attach 0; return`.
     fn wcm_call_code(callee: Rc<Code>) -> Rc<Code> {
-        let main = Code::build(
+        Code::build(
             "main",
             0,
             false,
@@ -1027,30 +1027,29 @@ mod tests {
             ],
             vec![Value::fixnum(7)],
             vec![callee],
-        );
-        Rc::new(main)
+        )
     }
 
     fn clean_callee() -> Rc<Code> {
-        Rc::new(Code::build(
+        Code::build(
             "leaf",
             0,
             false,
             vec![Instr::Const(0), Instr::Return],
             vec![Value::fixnum(1)],
             vec![],
-        ))
+        )
     }
 
     fn observing_callee() -> Rc<Code> {
-        Rc::new(Code::build(
+        Code::build(
             "peek",
             0,
             false,
             vec![Instr::CurrentAttachments, Instr::Return],
             vec![],
             vec![],
-        ))
+        )
     }
 
     #[test]
@@ -1094,7 +1093,7 @@ mod tests {
     #[test]
     fn unknown_callee_is_conservative() {
         // call/attach through a capture: unresolvable.
-        let callee_slot = Rc::new(Code::build(
+        let callee_slot = Code::build(
             "indirect",
             1,
             false,
@@ -1107,7 +1106,7 @@ mod tests {
             ],
             vec![Value::fixnum(1)],
             vec![],
-        ));
+        );
         let globals = Globals::new();
         let facts = analyze(
             &callee_slot,
@@ -1143,7 +1142,7 @@ mod tests {
     fn jump_targets_shift_past_inserted_pops() {
         // if #t then (call/attach f) else 9, under an owned attachment.
         let callee = clean_callee();
-        let main = Rc::new(Code::build(
+        let main = Code::build(
             "main",
             0,
             false,
@@ -1165,7 +1164,7 @@ mod tests {
             ],
             vec![Value::fixnum(7), Value::Bool(true), Value::fixnum(9)],
             vec![callee],
-        ));
+        );
         // The hand-built else arm pops explicitly; the then arm pops by
         // underflow (call/attach). After the rewrite both pop explicitly.
         crate::verify(&main, MarkModel::Attachments).expect("input verifies");
@@ -1190,15 +1189,15 @@ mod tests {
     #[test]
     fn trusted_observer_yields_key_specific_facts() {
         // main: set key 'a (expr facts), call trusted observer with 'b.
-        let observer = Rc::new(Code::build(
+        let observer = Code::build(
             "continuation-mark-set-first",
             3,
             false,
             vec![Instr::CurrentAttachments, Instr::Return],
             vec![],
             vec![],
-        ));
-        let main = Rc::new(Code::build(
+        );
+        let main = Code::build(
             "main",
             0,
             false,
@@ -1212,7 +1211,7 @@ mod tests {
             ],
             vec![Value::Bool(false), Value::symbol("b"), Value::Bool(false)],
             vec![],
-        ));
+        );
         let mut globals = Globals::new();
         let id = globals.define(
             cm_sexpr::sym("continuation-mark-set-first"),

@@ -433,22 +433,16 @@ fn main() {
         // Both sides must compute the same answer, or the comparison is
         // comparing different programs.
         let rc_answer = rc_fn(*n / 10);
-        let handle_answer = {
-            let _scope = cm_vm::alloc_scope();
-            handle_fn(&mut engine, *n / 10)
-        };
+        let handle_answer = handle_fn(&mut engine, *n / 10);
         engine.machine_mut().collect_now();
         assert_eq!(rc_answer, handle_answer, "{name}: sides disagree");
 
         let rc = time_runs(runs, || {
             std::hint::black_box(rc_fn(*n));
         });
-        // The alloc scope keeps the run's temporaries collectable (depth-0
-        // allocations would be tenured permanent), and the timed region
-        // includes the collection that reclaims them (the Rc side reclaims
-        // inline, in `Drop`).
+        // The timed region includes the collection that reclaims the
+        // run's temporaries (the Rc side reclaims inline, in `Drop`).
         let handle = time_runs(runs, || {
-            let _scope = cm_vm::alloc_scope();
             std::hint::black_box(handle_fn(&mut engine, *n));
             engine.machine_mut().collect_now();
         });

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use cm_core::EngineConfig;
 use cm_engines::{Engine, RunResult, WorkerHost};
-use cm_vm::{Machine, Value};
+use cm_vm::{Machine, Rooted};
 
 /// The checkpointed workload: a mark-annotated accumulator loop that
 /// keeps a few thousand pairs and a growing vector live, so snapshots
@@ -72,7 +72,7 @@ fn mb_per_s(bytes: usize, ms: f64) -> f64 {
 }
 
 /// Runs an engine to completion and returns the displayed value.
-fn finish(mut engine: Engine) -> Value {
+fn finish(mut engine: Engine) -> Rooted {
     loop {
         match engine.run(u64::MAX) {
             RunResult::Done(v, _) => return v,

@@ -90,7 +90,7 @@ pub fn gen_program(
         g.konst(Value::Void);
         g.emit(Instr::Return, -1);
     }
-    Rc::new(g.finish(0, false))
+    g.finish(0, false)
 }
 
 struct FnGen<'a> {
@@ -118,7 +118,7 @@ impl<'a> FnGen<'a> {
         }
     }
 
-    fn finish(self, arity: u16, rest: bool) -> Code {
+    fn finish(self, arity: u16, rest: bool) -> Rc<Code> {
         Code::build(self.name, arity, rest, self.instrs, self.consts, self.codes)
     }
 
@@ -468,7 +468,7 @@ impl<'a> FnGen<'a> {
             child.env.insert(*v, Binding::Capture(i as u16));
         }
         child.compile(&l.body, Ctx::Tail(Att::Dynamic));
-        let code = Rc::new(child.finish(l.params.len() as u16, l.rest.is_some()));
+        let code = child.finish(l.params.len() as u16, l.rest.is_some());
         let code_idx = u16::try_from(self.codes.len()).expect("too many child codes");
         self.codes.push(code);
         let n = frees.len() as i32;

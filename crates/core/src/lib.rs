@@ -50,7 +50,7 @@ use std::rc::Rc;
 
 use cm_analysis::markflow::{MarkFlowFacts, TrustedObserver, TrustedObservers};
 use cm_compiler::{CompileError, Compiler, CompilerConfig};
-use cm_vm::{Globals, Machine, MachineConfig, MachineStats, MarkModel, Value, VmError};
+use cm_vm::{Globals, Machine, MachineConfig, MachineStats, MarkModel, Rooted, Value, VmError};
 
 /// The runtime library sources, concatenated per mark model.
 const PRELUDE_COMMON: &str = include_str!("prelude_common.scm");
@@ -308,12 +308,13 @@ impl Engine {
         &self.config
     }
 
-    /// Evaluates source text, returning the value of the last form.
+    /// Evaluates source text, returning the value of the last form,
+    /// rooted for as long as the caller holds it.
     ///
     /// # Errors
     ///
     /// Returns an [`EngineError`] for compile-time or runtime errors.
-    pub fn eval(&mut self, src: &str) -> Result<Value, EngineError> {
+    pub fn eval(&mut self, src: &str) -> Result<Rooted, EngineError> {
         let code = self.compiler.compile_str(src)?;
         self.machine.refuel();
         Ok(self.machine.run_code(code)?)
@@ -350,13 +351,14 @@ impl Engine {
         Ok(self.eval(src)?.write_string())
     }
 
-    /// Calls a global procedure by name.
+    /// Calls a global procedure by name; the result comes back rooted, as
+    /// from [`Engine::eval`].
     ///
     /// # Errors
     ///
     /// Returns an [`EngineError`] if the global is unbound or the call
     /// fails.
-    pub fn call_global(&mut self, name: &str, args: Vec<Value>) -> Result<Value, EngineError> {
+    pub fn call_global(&mut self, name: &str, args: Vec<Value>) -> Result<Rooted, EngineError> {
         let f = self
             .machine
             .globals

@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use cm_core::{EngineConfig, EngineError};
 use cm_vm::{
-    Code, Globals, Machine, MachineConfig, MachineStats, RestoredRun, RunStatus, SnapshotError,
-    SuspendedRun, Value, VmError,
+    Code, Globals, Machine, MachineConfig, MachineStats, RestoredRun, Rooted, RunStatus,
+    SnapshotError, SuspendedRun, Value, VmError,
 };
 
 use crate::spans::SpanSink;
@@ -34,9 +34,9 @@ use crate::spans::SpanSink;
 /// computation.
 #[derive(Debug)]
 pub enum RunResult {
-    /// The program finished with this value; the final per-engine stats
-    /// ride along for fairness accounting.
-    Done(Value, MachineStats),
+    /// The program finished with this value (rooted while held); the
+    /// final per-engine stats ride along for fairness accounting.
+    Done(Rooted, MachineStats),
     /// The slice expired (or `%engine-block` fired); run the returned
     /// engine to continue.
     Suspended(Engine, MachineStats),
@@ -142,7 +142,7 @@ impl Engine {
     /// # Errors
     ///
     /// The [`VmError`] that killed the engine, if any.
-    pub fn run_to_completion(mut self, slice: u64) -> Result<(Value, u64), VmError> {
+    pub fn run_to_completion(mut self, slice: u64) -> Result<(Rooted, u64), VmError> {
         let mut slices = 0;
         loop {
             slices += 1;
@@ -356,7 +356,7 @@ impl WorkerHost {
     /// # Errors
     ///
     /// Any compile or runtime error.
-    pub fn eval(&mut self, src: &str) -> Result<Value, EngineError> {
+    pub fn eval(&mut self, src: &str) -> Result<Rooted, EngineError> {
         self.core.eval(src)
     }
 

@@ -335,6 +335,13 @@ enum Ctl {
 ///
 /// Holds the expander (so macros persist across [`RefInterp::eval`]
 /// calls) and top-level definitions.
+///
+/// Model data lives in the thread's VM heap, which roots nothing the
+/// model holds: a VM collection on the same thread between two `eval`s
+/// may free heap data (quoted lists, strings, built structures) that the
+/// model's definitions keep. A session that interleaves VM runs with
+/// model `eval`s should define only procedures over immediates, as the
+/// differential suites do, or evaluate each program in one `eval`.
 pub struct RefInterp {
     expander: Expander,
     globals: HashMap<Sym, RV>,

@@ -954,7 +954,7 @@ fn check_trial(
     rep: &mut TortureReport,
     ctx: &str,
     engine: &mut Engine,
-    got: Result<cm_vm::Value, EngineError>,
+    got: Result<cm_vm::Rooted, EngineError>,
     expected_output: &str,
     expectation: &Expectation,
     what: &str,

@@ -311,7 +311,11 @@ pub enum Instr {
 }
 
 /// A compiled procedure body.
-#[derive(Debug, Clone)]
+///
+/// Build codes with [`Code::build`]: it registers a code whose constant
+/// pool holds heap values with the collector, which keeps those constants
+/// alive exactly as long as the code.
+#[derive(Debug)]
 pub struct Code {
     /// Diagnostic name (e.g. the defined name or `lambda`).
     pub name: String,
@@ -328,7 +332,10 @@ pub struct Code {
 }
 
 impl Code {
-    /// Builds a code object; a convenience for tests and the compiler.
+    /// Builds a shared code object (the compiler, the snapshot decoder
+    /// and tests all build codes here). A code with heap constants joins
+    /// the collector's weak code registry, so its constants stay live
+    /// while any `Rc` holds the code and become garbage once none does.
     pub fn build(
         name: impl Into<String>,
         arity_required: u16,
@@ -336,15 +343,19 @@ impl Code {
         instrs: Vec<Instr>,
         consts: Vec<Value>,
         codes: Vec<Rc<Code>>,
-    ) -> Code {
-        Code {
+    ) -> Rc<Code> {
+        let code = Rc::new(Code {
             name: name.into(),
             arity_required,
             rest,
             instrs,
             consts,
             codes,
+        });
+        if code.consts.iter().any(Value::is_heap) {
+            crate::heap::register_code(&code);
         }
+        code
     }
 
     /// Renders a human-readable disassembly (one instruction per line

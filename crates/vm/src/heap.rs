@@ -21,25 +21,28 @@
 //! (freed slots are poisoned: a stale handle is caught by the slab's
 //! liveness check instead of silently aliasing a reused slot).
 //!
-//! # Rooting inventory
+//! # Rooting rule
 //!
-//! A collection traces, transitively:
+//! A heap object lives while one of these reaches it, and no longer:
 //!
-//! * the collecting machine's roots (operand stack, frame closures, the
-//!   marks/attachment registers, winders, meta frames, the underflow
-//!   chain, the eager mark stack, saved nested-execution states, and
-//!   temporary roots pinned around continuation application) — gathered
-//!   by `Machine::gather_roots`;
-//! * every registered [`Globals`] table (weakly registered per machine,
-//!   so idle engines sharing the thread keep their global bindings);
-//! * external root sets registered through [`RootGuard`]s — notably the
-//!   flattened state of every live `SuspendedRun`, which makes
-//!   collection safe across suspend/resume;
-//! * the *permanent generation*: objects allocated outside any machine
-//!   run (compile-time constants, prelude structures, embedder-built
-//!   values) plus run results tenured by `finish_run`. Permanent slots
-//!   are traced as roots (they may be mutated to point at young objects)
-//!   but never swept.
+//! * a machine: its operand stack, frame closures, the marks/attachment
+//!   registers, winders, meta frames, the underflow chain, the eager mark
+//!   stack, saved nested-execution states, and temporary roots pinned
+//!   around continuation application (`Machine::gather_roots`);
+//! * a registered [`Globals`] table (weakly registered per machine, so
+//!   idle engines sharing the thread keep their global bindings);
+//! * a [`RootGuard`]: every live `SuspendedRun` holds one over its frozen
+//!   state, and every [`Rooted`] result a run hands its embedder holds
+//!   one over the value;
+//! * a live [`Code`]: its constant pool. [`Code::build`] registers each
+//!   code that has heap constants in a weak registry (nested codes on
+//!   their own, because a closure outlives the code that built it), so a
+//!   constant lives exactly as long as some `Rc` holds its code. Dead
+//!   entries are pruned at each collection.
+//!
+//! Nothing else is a root. Values an embedder builds outside a run,
+//! compile-time constants and interned string literals are ordinary
+//! collectable objects.
 //!
 //! Shared `Rc` spines (underflow records, composable-continuation
 //! segments) are walked with per-collection visited sets; the values they
@@ -47,6 +50,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 use std::rc::{Rc, Weak};
 
 use cm_sexpr::Sym;
@@ -85,18 +89,12 @@ pub struct Closure {
 
 /// The poison closure handed out by a freed slot in release builds: an
 /// empty `$freed` code object whose execution fails cleanly instead of
-/// aliasing a reused slot.
+/// aliasing a reused slot. (Built while the heap is being created: a code
+/// without heap constants never touches the code registry.)
 impl Default for Closure {
     fn default() -> Closure {
         Closure {
-            code: Rc::new(Code::build(
-                "$freed",
-                0,
-                false,
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-            )),
+            code: Code::build("$freed", 0, false, Vec::new(), Vec::new(), Vec::new()),
             captures: Vec::new(),
         }
     }
@@ -183,13 +181,12 @@ impl TableData {
 // Slabs
 // ---------------------------------------------------------------------------
 
-/// One heap slot: the payload plus mark/permanent bits. A freed slot
-/// holds `None`, so any use-after-free through a stale handle is caught
-/// by the accessor's liveness check rather than aliasing a reused slot.
+/// One heap slot: the payload plus its mark bit. A freed slot holds
+/// `None`, so any use-after-free through a stale handle is caught by the
+/// accessor's liveness check rather than aliasing a reused slot.
 struct Slot<T> {
     val: Option<T>,
     mark: bool,
-    perm: bool,
 }
 
 /// A per-kind object slab with a free list.
@@ -219,21 +216,19 @@ impl<T: Default> Default for Slab<T> {
 
 impl<T> Slab<T> {
     #[inline]
-    fn alloc(&mut self, val: T, perm: bool) -> u32 {
+    fn alloc(&mut self, val: T) -> u32 {
         self.live += 1;
         if let Some(i) = self.free.pop() {
             let s = &mut self.slots[i as usize];
             debug_assert!(s.val.is_none(), "free-list slot still occupied");
             s.val = Some(val);
             s.mark = false;
-            s.perm = perm;
             i
         } else {
             debug_assert!(self.slots.len() < u32::MAX as usize, "slab exhausted");
             self.slots.push(Slot {
                 val: Some(val),
                 mark: false,
-                perm,
             });
             (self.slots.len() - 1) as u32
         }
@@ -272,10 +267,7 @@ impl<T> Slab<T> {
     }
 
     /// Marks slot `i`; returns `true` the first time (caller then traces
-    /// children). Permanent slots take part like any other slot — they
-    /// are seeded as roots each collection and must be traced once so
-    /// young objects they were mutated to point at survive; `sweep`
-    /// retains them regardless of the mark bit.
+    /// children).
     #[inline]
     fn mark(&mut self, i: u32) -> bool {
         let s = &mut self.slots[i as usize];
@@ -287,16 +279,7 @@ impl<T> Slab<T> {
         true
     }
 
-    fn make_perm(&mut self, i: u32) -> bool {
-        let s = &mut self.slots[i as usize];
-        if s.perm {
-            return false;
-        }
-        s.perm = true;
-        true
-    }
-
-    /// Sweeps unmarked, non-permanent slots; clears marks; returns
+    /// Sweeps unmarked slots; clears marks; returns
     /// (freed count, live bytes) where each live slot contributes
     /// `base + size(val)` bytes.
     ///
@@ -312,7 +295,7 @@ impl<T> Slab<T> {
         let mut bytes = 0u64;
         for s in self.slots.iter_mut() {
             let Some(v) = s.val.as_ref() else { continue };
-            if s.mark || s.perm {
+            if s.mark {
                 s.mark = false;
                 bytes += base + size(v);
             } else {
@@ -421,7 +404,7 @@ pub struct HeapStats {
 pub struct GcReport {
     /// Objects freed.
     pub freed: u64,
-    /// Objects still live (including permanents).
+    /// Objects still live.
     pub live_objects: u64,
     /// Estimated live bytes.
     pub bytes_live: u64,
@@ -440,23 +423,18 @@ pub struct Heap {
     closures: Slab<Closure>,
     conts: Slab<ContData>,
     /// Interned strings (constants from `quote`d literals): content →
-    /// permanent handle.
+    /// handle. An entry goes when a sweep frees its string.
     interned: HashMap<String, HStr>,
-    /// Every permanent object that can hold children, as a ready-made
-    /// root list: collections seed from here in O(#permanents) instead
-    /// of scanning every slot of every slab for the `perm` bit.
-    /// Strings are exempt — they have no children, and `sweep` retains
-    /// permanent slots regardless of the mark bit, so an unseeded
-    /// permanent string is still immortal.
-    perm_roots: Vec<Value>,
     /// External root sets, registered via [`RootGuard`].
     extra_roots: Vec<Option<Vec<Value>>>,
     extra_free: Vec<u32>,
     /// Weakly registered global tables (one per machine on this thread).
     globals_roots: Vec<Weak<RefCell<Globals>>>,
-    /// Nesting depth of active machine runs; allocations at depth 0 are
-    /// permanent (compile-time constants, embedder values, prelude data).
-    run_depth: usize,
+    /// Weakly registered codes with heap constants (see [`Code::build`]).
+    codes: Vec<Weak<Code>>,
+    /// Registry length at which registration prunes dead codes, so the
+    /// registry stays proportional to the live codes between collections.
+    codes_prune_at: usize,
     allocations: u64,
     collections: u64,
     /// Allocations not yet announced as `TraceKind::Alloc` events (the
@@ -476,6 +454,8 @@ pub struct Heap {
 /// Initial/minimum collection threshold (bytes allocated between
 /// collections).
 const MIN_THRESHOLD: u64 = 1 << 20;
+/// Smallest code-registry length that triggers a prune on registration.
+const MIN_CODES_PRUNE: usize = 256;
 
 impl Heap {
     fn new() -> Heap {
@@ -489,11 +469,11 @@ impl Heap {
             closures: Slab::default(),
             conts: Slab::default(),
             interned: HashMap::new(),
-            perm_roots: Vec::new(),
             extra_roots: Vec::new(),
             extra_free: Vec::new(),
             globals_roots: Vec::new(),
-            run_depth: 0,
+            codes: Vec::new(),
+            codes_prune_at: MIN_CODES_PRUNE,
             allocations: 0,
             collections: 0,
             alloc_pending: 0,
@@ -532,95 +512,63 @@ impl Heap {
         }
     }
 
-    #[inline]
-    fn perm(&self) -> bool {
-        self.run_depth == 0
-    }
-
     pub(crate) fn alloc_string(&mut self, s: String) -> HStr {
         self.note_alloc(SIZE_BASE + s.len() as u64);
-        let perm = self.perm();
-        HStr(self.strs.alloc(s, perm))
+        HStr(self.strs.alloc(s))
     }
 
     pub(crate) fn alloc_pair(&mut self, car: Value, cdr: Value) -> HPair {
         self.note_alloc(SIZE_BASE);
-        let perm = self.perm();
-        let h = HPair(self.pairs.alloc(PairData { car, cdr }, perm));
-        if perm {
-            self.perm_roots.push(Value::Pair(h));
-        }
-        h
+        HPair(self.pairs.alloc(PairData { car, cdr }))
     }
 
     pub(crate) fn alloc_vec(&mut self, items: Vec<Value>) -> HVec {
         self.note_alloc(SIZE_BASE + VALUE_SIZE * items.len() as u64);
-        let perm = self.perm();
-        let h = HVec(self.vecs.alloc(items, perm));
-        if perm {
-            self.perm_roots.push(Value::Vector(h));
-        }
-        h
+        HVec(self.vecs.alloc(items))
     }
 
     pub(crate) fn alloc_box(&mut self, v: Value) -> HBox {
         self.note_alloc(SIZE_BASE);
-        let perm = self.perm();
-        let h = HBox(self.boxes.alloc(v, perm));
-        if perm {
-            self.perm_roots.push(Value::Box(h));
-        }
-        h
+        HBox(self.boxes.alloc(v))
     }
 
     pub(crate) fn alloc_table(&mut self) -> HTable {
         self.note_alloc(SIZE_BASE);
-        let perm = self.perm();
-        let h = HTable(self.tables.alloc(TableData::new(), perm));
-        if perm {
-            self.perm_roots.push(Value::Table(h));
-        }
-        h
+        HTable(self.tables.alloc(TableData::new()))
     }
 
     pub(crate) fn alloc_record(&mut self, tag: Sym, fields: Vec<Value>) -> HRecord {
         self.note_alloc(SIZE_BASE + VALUE_SIZE * fields.len() as u64);
-        let perm = self.perm();
-        let h = HRecord(self.records.alloc(RecordData { tag, fields }, perm));
-        if perm {
-            self.perm_roots.push(Value::Record(h));
-        }
-        h
+        HRecord(self.records.alloc(RecordData { tag, fields }))
     }
 
     pub(crate) fn alloc_closure(&mut self, c: Closure) -> HClosure {
         self.note_alloc(SIZE_BASE + VALUE_SIZE * c.captures.len() as u64);
-        let perm = self.perm();
-        let h = HClosure(self.closures.alloc(c, perm));
-        if perm {
-            self.perm_roots.push(Value::Closure(h));
-        }
-        h
+        HClosure(self.closures.alloc(c))
     }
 
     pub(crate) fn alloc_cont(&mut self, c: ContData) -> HCont {
         self.note_alloc(CONT_SIZE);
-        let perm = self.perm();
-        let h = HCont(self.conts.alloc(c, perm));
-        if perm {
-            self.perm_roots.push(Value::Cont(h));
-        }
-        h
+        HCont(self.conts.alloc(c))
     }
 
     fn intern(&mut self, s: &str) -> HStr {
         if let Some(&h) = self.interned.get(s) {
             return h;
         }
-        self.note_alloc(SIZE_BASE + s.len() as u64);
-        let h = HStr(self.strs.alloc(s.to_string(), true));
+        let h = self.alloc_string(s.to_string());
         self.interned.insert(s.to_string(), h);
         h
+    }
+
+    /// Adds `code` to the weak code registry, first pruning dead entries
+    /// once the registry has doubled since the last prune.
+    fn register_code(&mut self, code: &Rc<Code>) {
+        if self.codes.len() >= self.codes_prune_at {
+            self.codes.retain(|w| w.strong_count() > 0);
+            self.codes_prune_at = MIN_CODES_PRUNE.max(2 * self.codes.len());
+        }
+        self.codes.push(Rc::downgrade(code));
     }
 
     fn stats(&self) -> HeapStats {
@@ -647,17 +595,33 @@ impl Heap {
     // -- tracing ------------------------------------------------------------
 
     /// Marks everything reachable from `roots` (plus the standing roots:
-    /// permanents, registered globals, extra root sets), sweeps the rest,
-    /// and retunes the collection threshold.
+    /// registered globals, extra root sets, live code constants), sweeps
+    /// the rest, and retunes the collection threshold.
     fn collect(&mut self, roots: &[Value]) -> GcReport {
         SHOULD_COLLECT.with(|c| c.set(false));
         self.collect_requested = false;
         self.collections += 1;
-        let mut tr = TraceState::default();
-        tr.gray.extend_from_slice(roots);
-        self.seed_standing_roots(&mut tr);
-        self.drain_gray(&mut tr);
-        let report = self.sweep();
+        let mut freed = 0;
+        let mut report = loop {
+            let mut tr = TraceState::default();
+            tr.gray.extend_from_slice(roots);
+            self.seed_standing_roots(&mut tr);
+            self.drain_gray(&mut tr);
+            let pass = self.sweep();
+            freed += pass.freed;
+            // A sweep that freed the last closure (or continuation frame)
+            // holding a registered code ended that code's life, but this
+            // pass marked its constants through the registry: mark again
+            // so they die with their code, not one collection later. Each
+            // extra pass needs another registered code to die, so this
+            // ends.
+            if self.codes.iter().all(|w| w.strong_count() > 0) {
+                break pass;
+            }
+        };
+        report.freed = freed;
+        let strs = &self.strs;
+        self.interned.retain(|_, h| strs.is_live(h.0));
         self.bytes_since_gc = 0;
         self.bytes_live = report.bytes_live;
         self.bytes_live_peak = self.bytes_live_peak.max(report.bytes_live);
@@ -667,12 +631,17 @@ impl Heap {
 
     /// Seeds the gray stack with the heap's standing roots.
     fn seed_standing_roots(&mut self, tr: &mut TraceState) {
-        // Permanent objects are roots: a permanent object can be mutated
-        // to point at a young one (a `set-car!` on a quoted constant, a
-        // `define`d structure grown during a run). `perm_roots` lists
-        // them, so seeding costs O(#permanents), not a scan of every
-        // slab slot.
-        tr.gray.extend_from_slice(&self.perm_roots);
+        // Constant pools of live codes (drop the codes that died). The
+        // upgraded `Rc` is never the last one, so dropping it here, under
+        // the heap borrow, cannot run a `Code`'s destructor.
+        self.codes.retain(|w| match w.upgrade() {
+            Some(code) => {
+                tr.gray.extend_from_slice(&code.consts);
+                true
+            }
+            None => false,
+        });
+        self.codes_prune_at = MIN_CODES_PRUNE.max(2 * self.codes.len());
         // Registered global tables (drop the ones whose machine died).
         self.globals_roots.retain(|w| match w.upgrade() {
             Some(g) => {
@@ -729,8 +698,7 @@ impl Heap {
         }
     }
 
-    /// Marking once per handle means the tenure loop's `make_perm` guard
-    /// for tenuring: when tenuring, `mark` is replaced by `make_perm`.
+    /// Frees every unmarked object and reports the survivors.
     fn sweep(&mut self) -> GcReport {
         let mut freed = 0u64;
         let mut bytes = 0u64;
@@ -758,57 +726,6 @@ impl Heap {
             freed,
             live_objects: self.live_objects(),
             bytes_live: bytes,
-        }
-    }
-
-    /// Marks everything reachable from `root` permanent (tenuring). Used
-    /// for values escaping a run into embedder hands. Newly permanent
-    /// objects join `perm_roots` (strings excepted — childless, and
-    /// `sweep` keeps permanents without being told).
-    fn tenure(&mut self, root: Value) {
-        let mut tr = TraceState::default();
-        tr.gray.push(root);
-        while let Some(v) = tr.gray.pop() {
-            match v {
-                Value::Str(h) => {
-                    self.strs.make_perm(h.0);
-                }
-                Value::Pair(h) if self.pairs.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    let p = *self.pairs.get(h.0);
-                    tr.gray.push(p.car);
-                    tr.gray.push(p.cdr);
-                }
-                Value::Vector(h) if self.vecs.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    tr.gray.extend_from_slice(self.vecs.get(h.0));
-                }
-                Value::Box(h) if self.boxes.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    tr.gray.push(*self.boxes.get(h.0));
-                }
-                Value::Table(h) if self.tables.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    for (k, val) in self.tables.get(h.0).values() {
-                        tr.gray.push(k);
-                        tr.gray.push(val);
-                    }
-                }
-                Value::Record(h) if self.records.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    tr.gray.extend_from_slice(&self.records.get(h.0).fields);
-                }
-                Value::Closure(h) if self.closures.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    tr.gray.extend_from_slice(&self.closures.get(h.0).captures);
-                }
-                Value::Cont(h) if self.conts.make_perm(h.0) => {
-                    self.perm_roots.push(v);
-                    let c = self.conts.get(h.0).clone();
-                    trace_cont_data(&c, &mut tr);
-                }
-                _ => {}
-            }
         }
     }
 }
@@ -946,62 +863,18 @@ pub(crate) fn take_alloc_pending() -> u64 {
     with_heap(|h| std::mem::take(&mut h.alloc_pending))
 }
 
-/// Enters a machine run: allocations stop being permanent. Discards any
-/// alloc-event backlog from outside-run allocation (compile time,
-/// embedder construction) so it is not attributed to this run.
-pub(crate) fn begin_run() {
-    with_heap(|h| {
-        if h.run_depth == 0 {
-            h.alloc_pending = 0;
-        }
-        h.run_depth += 1;
-    });
-}
-
-/// Leaves a machine run.
-pub(crate) fn end_run() {
-    with_heap(|h| {
-        debug_assert!(h.run_depth > 0, "end_run without begin_run");
-        h.run_depth = h.run_depth.saturating_sub(1);
-    });
-}
-
-/// An RAII allocation scope for code that builds values *outside* a
-/// machine run (embedders, benchmarks). Allocations at run depth 0 are
-/// tenured permanent — the right policy for compile-time constants and
-/// embedder-held results, but fatal for a tight allocation loop, where
-/// it turns every temporary into an immortal object. Inside a scope,
-/// allocations are ordinary collectable objects; the caller is then
-/// responsible for keeping them rooted across any collection it forces
-/// (e.g. [`Machine::collect_now`](crate::Machine)).
-#[derive(Debug)]
-pub struct AllocScope(());
-
-impl Drop for AllocScope {
-    fn drop(&mut self) {
-        end_run();
-    }
-}
-
-/// Opens an [`AllocScope`]. Scopes nest (with each other and with
-/// machine runs).
-pub fn alloc_scope() -> AllocScope {
-    begin_run();
-    AllocScope(())
-}
-
-/// Collects now, using `roots` (plus the heap's standing roots: the
-/// permanent generation, registered globals tables, and external root
-/// sets).
+/// Collects now, using `roots` (plus the heap's standing roots:
+/// registered globals tables, external root sets, and the constants of
+/// live codes).
 pub(crate) fn collect_with_roots(roots: &[Value]) -> GcReport {
     with_heap(|h| h.collect(roots))
 }
 
-/// Tenures `v`: everything reachable becomes permanent. Applied to run
-/// results escaping into embedder hands, so a held result can never be
-/// invalidated by a later run's collection.
-pub(crate) fn tenure_value(v: Value) {
-    with_heap(|h| h.tenure(v));
+/// Registers `code`'s constant pool as a standing root for as long as
+/// the code lives (weak: the registration dies with the code, and the
+/// code's drop never touches the heap).
+pub(crate) fn register_code(code: &Rc<Code>) {
+    with_heap(|h| h.register_code(code));
 }
 
 /// Registers a machine's globals table as a standing root (weak: the
@@ -1019,11 +892,13 @@ pub(crate) fn register_globals_root(g: &Rc<RefCell<Globals>>) {
     });
 }
 
-/// Interns `s`, returning a permanent shared string value. Used for
-/// string constants (`quote`d literals): the VM has no string mutators,
-/// and both the engine and the reference model build constants through
-/// this pool, so sharing is unobservable except through `eq?` — where
-/// both sides agree.
+/// Interns `s`, returning a shared string value. Used for string
+/// constants (`quote`d literals): the VM has no string mutators, and both
+/// the engine and the reference model build constants through this pool,
+/// so sharing is unobservable except through `eq?` — where both sides
+/// agree. The string is collected like any other once nothing reaches
+/// it; while something does, every literal with its contents gets the
+/// same handle.
 pub fn intern_string(s: &str) -> Value {
     Value::Str(with_heap(|h| h.intern(s)))
 }
@@ -1036,10 +911,11 @@ pub fn heap_stats() -> HeapStats {
 /// An RAII registration of external roots: the values stay live across
 /// collections until the guard drops. Deliberately not `Clone` — one
 /// registration, one owner (`SuspendedRun`s hold one over their frozen
-/// state).
+/// state) — and not `Send`: the registration lives in this thread's heap.
 #[derive(Debug)]
 pub struct RootGuard {
     id: u32,
+    _thread_bound: PhantomData<Rc<()>>,
 }
 
 /// Registers `roots` as a standing root set; they are traced by every
@@ -1053,7 +929,10 @@ pub(crate) fn add_extra_roots(roots: Vec<Value>) -> RootGuard {
             h.extra_roots.push(Some(roots));
             (h.extra_roots.len() - 1) as u32
         };
-        RootGuard { id }
+        RootGuard {
+            id,
+            _thread_bound: PhantomData,
+        }
     })
 }
 
@@ -1069,6 +948,42 @@ impl Drop for RootGuard {
                 }
             }
         });
+    }
+}
+
+/// A run result held outside any machine: it and everything it reaches
+/// stay live across collections until the holder drops. The machine's
+/// entry points ([`Machine::run_code`](crate::Machine::run_code) and the
+/// others) hand results back in one. Derefs to the [`Value`]; a `Value`
+/// copied out of the holder is only safe until the next collection after
+/// the holder drops.
+#[derive(Debug)]
+pub struct Rooted {
+    value: Value,
+    _root: RootGuard,
+}
+
+impl Rooted {
+    /// Roots `value` until the returned holder drops.
+    pub(crate) fn new(value: Value) -> Rooted {
+        Rooted {
+            value,
+            _root: add_extra_roots(vec![value]),
+        }
+    }
+}
+
+impl std::ops::Deref for Rooted {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.value
+    }
+}
+
+impl std::fmt::Display for Rooted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.value.fmt(f)
     }
 }
 
@@ -1377,7 +1292,6 @@ mod tests {
 
     #[test]
     fn collect_frees_unrooted_and_keeps_rooted() {
-        begin_run(); // non-permanent allocations
         let kept = Value::cons(Value::fixnum(1), Value::Nil);
         let dropped = Value::cons(Value::fixnum(2), Value::Nil);
         let before = heap_stats().allocations;
@@ -1387,33 +1301,21 @@ mod tests {
         assert!(is_live(kept));
         assert!(!is_live(dropped));
         assert!(kept.car().unwrap().eq_value(&Value::fixnum(1)));
-        end_run();
     }
 
     #[test]
-    fn permanent_generation_survives_unrooted() {
-        // Allocated outside any run → permanent → survives a rootless
-        // collection.
-        let v = Value::cons(Value::fixnum(7), Value::Nil);
+    fn rooted_holder_protects_its_graph_until_dropped() {
+        let v = Rooted::new(Value::list([Value::fixnum(1), Value::string("x")]));
         collect_with_roots(&[]);
-        assert!(is_live(v));
-        assert!(v.car().unwrap().eq_value(&Value::fixnum(7)));
-    }
-
-    #[test]
-    fn tenure_protects_escaping_graphs() {
-        begin_run();
-        let v = Value::list([Value::fixnum(1), Value::string("x")]);
-        tenure_value(v);
-        end_run();
-        collect_with_roots(&[]);
-        assert!(is_live(v));
         assert_eq!(v.write_string(), "(1 \"x\")");
+        let raw = *v;
+        drop(v);
+        collect_with_roots(&[]);
+        assert!(!is_live(raw));
     }
 
     #[test]
     fn root_guard_pins_and_releases() {
-        begin_run();
         let v = Value::cons(Value::fixnum(3), Value::Nil);
         let guard = add_extra_roots(vec![v]);
         collect_with_roots(&[]);
@@ -1421,35 +1323,61 @@ mod tests {
         drop(guard);
         collect_with_roots(&[]);
         assert!(!is_live(v));
-        end_run();
     }
 
     #[test]
-    fn permanent_mutation_keeps_young_children_alive() {
-        // A permanent pair mutated during a run to point at a young pair:
-        // the young pair must survive a collection with no other roots.
-        let perm = Value::cons(Value::fixnum(1), Value::Nil);
-        begin_run();
+    fn mutated_rooted_pair_keeps_new_children_alive() {
+        // A held pair mutated to point at a fresh pair: the fresh pair
+        // must survive a collection with no other roots.
+        let held = Rooted::new(Value::cons(Value::fixnum(1), Value::Nil));
         let young = Value::cons(Value::fixnum(2), Value::Nil);
-        if let Value::Pair(p) = perm {
+        if let Value::Pair(p) = *held {
             p.set_cdr(young);
         }
         collect_with_roots(&[]);
         assert!(is_live(young));
-        assert_eq!(perm.write_string(), "(1 2)");
-        end_run();
+        assert_eq!(held.write_string(), "(1 2)");
     }
 
     #[test]
-    fn interned_strings_are_shared_and_permanent() {
-        let a = intern_string("hello");
+    fn code_constants_live_exactly_as_long_as_their_code() {
+        let konst = Value::list([Value::fixnum(1), Value::string("k")]);
+        let child = Code::build("child", 0, false, Vec::new(), vec![konst], Vec::new());
+        let parent = Code::build("parent", 0, false, Vec::new(), Vec::new(), vec![child]);
+        collect_with_roots(&[]);
+        assert!(is_live(konst), "constant of a live nested code freed");
+        // A closure outlives the code that built it: the nested code's
+        // own registration keeps its constants once the parent is gone.
+        let child = parent.codes[0].clone();
+        drop(parent);
+        collect_with_roots(&[]);
+        assert_eq!(konst.write_string(), "(1 \"k\")");
+        drop(child);
+        collect_with_roots(&[]);
+        assert!(!is_live(konst), "constant outlived its code");
+    }
+
+    #[test]
+    fn interned_strings_are_shared_while_held_and_then_collected() {
+        let a = Rooted::new(intern_string("hello"));
         let b = intern_string("hello");
         let c = intern_string("other");
         assert!(a.eq_value(&b));
         assert!(!a.eq_value(&c));
         collect_with_roots(&[]);
-        assert!(is_live(a));
-        assert_eq!(a.display_string(), "hello");
+        assert!(is_live(*a));
+        assert!(!is_live(c), "unheld interned string survived");
+        assert!(intern_string("hello").eq_value(&a));
+        let before = with_heap(|h| h.interned.len());
+        let raw = *a;
+        drop(a);
+        collect_with_roots(&[]);
+        assert!(!is_live(raw));
+        assert!(
+            with_heap(|h| h.interned.len()) < before,
+            "map kept a freed entry"
+        );
+        assert_eq!(intern_string("hello").display_string(), "hello");
     }
 
     #[test]

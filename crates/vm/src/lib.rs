@@ -30,7 +30,6 @@
 //!
 //! ```
 //! use cm_vm::{Code, Instr, Machine, Value};
-//! use std::rc::Rc;
 //!
 //! // (lambda () (+ 40 2)) compiled by hand:
 //! let code = Code::build("main", 0, false, vec![
@@ -40,7 +39,7 @@
 //!     Instr::Return,
 //! ], vec![Value::fixnum(40), Value::fixnum(2)], vec![]);
 //! let mut m = Machine::new(Default::default());
-//! let result = m.run_code(Rc::new(code)).unwrap();
+//! let result = m.run_code(code).unwrap();
 //! assert!(result.eq_value(&Value::fixnum(42)));
 //! ```
 
@@ -59,8 +58,8 @@ pub use code::{Code, Instr, PrimOp};
 pub use config::{FaultPlan, MachineConfig, MarkModel, DEFAULT_TRACE_CAPACITY};
 pub use error::{BacktraceFrame, VmBacktrace, VmError, VmErrorKind, VmResult};
 pub use heap::{
-    alloc_scope, heap_stats, AllocScope, GcReport, HBox, HClosure, HCont, HPair, HRecord, HStr,
-    HTable, HVec, HeapStats, RootGuard,
+    heap_stats, GcReport, HBox, HClosure, HCont, HPair, HRecord, HStr, HTable, HVec, HeapStats,
+    RootGuard, Rooted,
 };
 pub use machine::{Globals, Machine, RestoredRun, RunStatus, SnapshotError, SuspendedRun};
 pub use prims::{

@@ -34,7 +34,7 @@ use cm_sexpr::Sym;
 use crate::code::{Code, Instr};
 use crate::config::{MachineConfig, MarkModel};
 use crate::error::{BacktraceFrame, VmBacktrace, VmError, VmErrorKind, VmResult};
-use crate::heap::{self, GcReport, HClosure, HCont, RootGuard};
+use crate::heap::{self, GcReport, HClosure, HCont, RootGuard, Rooted};
 use crate::prims::{self, ControlOp, NativeId};
 use crate::stats::MachineStats;
 use crate::trace::{TraceJournal, TraceKind};
@@ -226,7 +226,7 @@ impl SuspendedRun {
 #[derive(Debug)]
 pub enum RunStatus {
     /// The program finished with this value.
-    Done(Value),
+    Done(Rooted),
     /// The slice was preempted; pass the [`SuspendedRun`] to
     /// [`Machine::resume`] to continue.
     Suspended(SuspendedRun),
@@ -418,51 +418,50 @@ impl Machine {
             .and_then(|d| Instant::now().checked_add(d));
     }
 
-    /// Runs a top-level code object to completion.
+    /// Runs a top-level code object to completion. The result comes back
+    /// [`Rooted`]: it stays live across later runs' collections for as
+    /// long as the caller holds it.
     ///
     /// # Errors
     ///
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
-    pub fn run_code(&mut self, code: Rc<Code>) -> VmResult<Value> {
-        self.ensure_idle();
-        self.arm_limits();
-        heap::begin_run();
+    pub fn run_code(&mut self, code: Rc<Code>) -> VmResult<Rooted> {
+        self.begin_run();
         let r = self
             .push_frame(code, None, Vec::new())
             .and_then(|()| self.run_until_done());
         let out = self.finish_run(r);
         self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(v) = &out {
-            // The result escapes into embedder hands: tenure it so no
-            // later run's collection can free it.
-            heap::tenure_value(*v);
-        }
-        out
+        out.map(Rooted::new)
     }
 
-    /// Calls a Scheme value from Rust (the machine must be idle).
+    /// Calls a Scheme value from Rust (the machine must be idle). The
+    /// result comes back [`Rooted`], as from [`Machine::run_code`].
     ///
     /// # Errors
     ///
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
-    pub fn call_value(&mut self, f: Value, args: Vec<Value>) -> VmResult<Value> {
-        self.ensure_idle();
-        self.arm_limits();
-        heap::begin_run();
+    pub fn call_value(&mut self, f: Value, args: Vec<Value>) -> VmResult<Rooted> {
+        self.begin_run();
         let r = (|| match self.do_call(f, args, CallMode::NonTail)? {
             Some(v) => Ok(v),
             None => self.run_until_done(),
         })();
         let out = self.finish_run(r);
         self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(v) = &out {
-            heap::tenure_value(*v);
-        }
-        out
+        out.map(Rooted::new)
+    }
+
+    /// Common top-level entry: checks the machine is idle, arms the
+    /// per-run limits, and discards the allocation-event backlog from
+    /// outside any run (compile time, embedder construction) so it is not
+    /// attributed to this run.
+    fn begin_run(&mut self) {
+        self.ensure_idle();
+        self.arm_limits();
+        heap::take_alloc_pending();
     }
 
     /// Runs a top-level code object for at most `slice` steps.
@@ -487,19 +486,13 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error. [`VmErrorKind::OutOfFuel`] cannot occur.
     pub fn run_code_sliced(&mut self, code: Rc<Code>, slice: u64) -> VmResult<RunStatus> {
-        self.ensure_idle();
-        self.arm_limits();
+        self.begin_run();
         self.begin_slice(slice);
-        heap::begin_run();
         let r = self
             .push_frame(code, None, Vec::new())
             .and_then(|()| self.run_loop());
         let out = self.finish_slice(r);
         self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(RunStatus::Done(v)) = &out {
-            heap::tenure_value(*v);
-        }
         out
     }
 
@@ -518,10 +511,8 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
     pub fn resume(&mut self, run: SuspendedRun, slice: u64) -> VmResult<RunStatus> {
-        self.ensure_idle();
-        self.arm_limits();
+        self.begin_run();
         self.begin_slice(slice);
-        heap::begin_run();
         self.trace(TraceKind::Resume);
         let SuspendedRun {
             head,
@@ -539,10 +530,6 @@ impl Machine {
         drop(_roots);
         let out = self.finish_slice(r);
         self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(RunStatus::Done(v)) = &out {
-            heap::tenure_value(*v);
-        }
         out
     }
 
@@ -583,7 +570,9 @@ impl Machine {
         // Slice fuel must not leak into subsequent ordinary runs.
         self.fuel = self.config.fuel;
         match r {
-            Ok(LoopExit::Done(v)) => self.finish_run(Ok(v)).map(RunStatus::Done),
+            Ok(LoopExit::Done(v)) => self
+                .finish_run(Ok(v))
+                .map(|v| RunStatus::Done(Rooted::new(v))),
             Ok(LoopExit::Suspended) => {
                 self.trace(TraceKind::Suspend);
                 self.freeze_current(self.marks);
@@ -625,7 +614,9 @@ impl Machine {
                 debug_assert!(self.is_idle(), "machine not idle after suspension");
                 Ok(RunStatus::Suspended(run))
             }
-            Err(e) => self.finish_run(Err(e)).map(RunStatus::Done),
+            Err(e) => self
+                .finish_run(Err(e))
+                .map(|v| RunStatus::Done(Rooted::new(v))),
         }
     }
 
@@ -1711,9 +1702,9 @@ impl Machine {
     /// collector: operand stack, frame closures, the marks/attachment
     /// registers, winders, eager mark entries, the underflow chain, prompt
     /// (meta) frames, state saved around nested executions, and
-    /// temporarily pinned values. (Globals, `Code` constant pools — which
-    /// are permanent by construction — suspended runs, and embedder-held
-    /// results are standing roots owned by the heap itself.)
+    /// temporarily pinned values. (Globals, live codes' constant pools,
+    /// suspended runs, and embedder-held results are standing roots owned
+    /// by the heap itself.)
     fn gather_roots(&self, roots: &mut Vec<Value>) {
         roots.extend_from_slice(&self.stack);
         for f in &self.frames {
@@ -1747,8 +1738,8 @@ impl Machine {
 
     /// Like [`Machine::collect_now`], additionally rooting `extra` —
     /// values an embedder holds in locals that no machine register or
-    /// standing root reaches (e.g. a benchmark's working set built inside
-    /// an [`alloc_scope`](crate::alloc_scope)).
+    /// standing root reaches (e.g. a benchmark's working set built
+    /// outside any run).
     pub fn collect_now_rooting(&mut self, extra: &[Value]) -> GcReport {
         let keep = self.temp_roots.len();
         self.temp_roots.extend_from_slice(extra);
@@ -2444,10 +2435,10 @@ mod tests {
     use super::*;
     use crate::code::{Instr, PrimOp};
 
-    fn run(instrs: Vec<Instr>, consts: Vec<Value>) -> Value {
+    fn run(instrs: Vec<Instr>, consts: Vec<Value>) -> Rooted {
         let code = Code::build("test", 0, false, instrs, consts, vec![]);
         let mut m = Machine::new(MachineConfig::default());
-        m.run_code(Rc::new(code)).unwrap()
+        m.run_code(code).unwrap()
     }
 
     #[test]
@@ -2465,7 +2456,7 @@ mod tests {
             .globals
             .borrow_mut()
             .define(cm_sexpr::sym("heap-acc"), Value::Nil);
-        let code = Rc::new(Code::build(
+        let code = Code::build(
             "alloc-loop",
             0,
             false,
@@ -2478,7 +2469,7 @@ mod tests {
             ],
             vec![Value::fixnum(1)],
             vec![],
-        ));
+        );
         let err = m.run_code(code).expect_err("allocation loop must fault");
         match &err.kind {
             VmErrorKind::HeapLimitExceeded { limit, live } => {
@@ -2490,14 +2481,14 @@ mod tests {
         // The fault is recoverable: the machine is idle and can run again.
         assert!(m.is_idle());
         let v = m
-            .run_code(Rc::new(Code::build(
+            .run_code(Code::build(
                 "after-fault",
                 0,
                 false,
                 vec![Instr::Const(0), Instr::Return],
                 vec![Value::fixnum(7)],
                 vec![],
-            )))
+            ))
             .expect("machine reusable after heap fault");
         assert!(v.eq_value(&Value::fixnum(7)));
     }
@@ -2594,7 +2585,7 @@ mod tests {
     fn fuel_limit_stops_loops() {
         let code = Code::build("loop", 0, false, vec![Instr::Jump(0)], vec![], vec![]);
         let mut m = Machine::new(MachineConfig::default().with_fuel(1000));
-        match m.run_code(Rc::new(code)) {
+        match m.run_code(code) {
             Err(e) if e.kind == VmErrorKind::OutOfFuel => {
                 // The machine must be reusable and carry a backtrace
                 // naming the looping code object.
@@ -2611,7 +2602,7 @@ mod tests {
         let mut m = Machine::new(
             MachineConfig::default().with_deadline(std::time::Duration::from_millis(5)),
         );
-        match m.run_code(Rc::new(code)) {
+        match m.run_code(code) {
             Err(e) if e.kind == VmErrorKind::DeadlineExceeded => assert!(m.is_idle()),
             other => panic!("expected deadline-exceeded, got {other:?}"),
         }
@@ -2631,7 +2622,7 @@ mod tests {
         ];
         let consts = vec![Value::fixnum(40), Value::fixnum(2), Value::fixnum(8)];
         let straight = run(instrs.clone(), consts.clone());
-        let code = Rc::new(Code::build("sliced", 0, false, instrs, consts, vec![]));
+        let code = Code::build("sliced", 0, false, instrs, consts, vec![]);
         let mut m = Machine::new(MachineConfig::default());
         let mut status = m.run_code_sliced(code, 1).unwrap();
         let mut suspensions = 0;
@@ -2659,14 +2650,7 @@ mod tests {
 
     #[test]
     fn sliced_infinite_loop_keeps_suspending() {
-        let code = Rc::new(Code::build(
-            "loop",
-            0,
-            false,
-            vec![Instr::Jump(0)],
-            vec![],
-            vec![],
-        ));
+        let code = Code::build("loop", 0, false, vec![Instr::Jump(0)], vec![], vec![]);
         let mut m = Machine::new(MachineConfig::default());
         let mut status = m.run_code_sliced(code, 100).unwrap();
         for _ in 0..10 {
@@ -2682,14 +2666,14 @@ mod tests {
         // The machine is still usable for ordinary runs afterwards.
         drop(status);
         let v = m
-            .run_code(Rc::new(Code::build(
+            .run_code(Code::build(
                 "after",
                 0,
                 false,
                 vec![Instr::Const(0), Instr::Return],
                 vec![Value::fixnum(7)],
                 vec![],
-            )))
+            ))
             .unwrap();
         assert!(v.eq_value(&Value::fixnum(7)));
     }
@@ -2702,14 +2686,14 @@ mod tests {
             .borrow_mut()
             .intern(cm_sexpr::sym("%engine-block"));
         let build = || {
-            Rc::new(Code::build(
+            Code::build(
                 "block",
                 0,
                 false,
                 vec![Instr::GlobalRef(id), Instr::Call(0), Instr::Return],
                 vec![],
                 vec![],
-            ))
+            )
         };
         // Outside a sliced run: a no-op returning #f.
         let v = m.run_code(build()).unwrap();
@@ -2732,7 +2716,7 @@ mod tests {
     fn sliced_error_resets_to_idle() {
         // `car` of a fixnum faults mid-slice; the machine must come back
         // idle with slice state cleared.
-        let code = Rc::new(Code::build(
+        let code = Code::build(
             "bad",
             0,
             false,
@@ -2743,7 +2727,7 @@ mod tests {
             ],
             vec![Value::fixnum(3)],
             vec![],
-        ));
+        );
         let mut m = Machine::new(MachineConfig::default());
         let err = m.run_code_sliced(code, 1_000).unwrap_err();
         assert!(matches!(err.kind, VmErrorKind::WrongType { .. }));
@@ -2763,14 +2747,14 @@ mod tests {
             Instr::PopAttach,
             Instr::Return,
         ];
-        let code = Rc::new(Code::build(
+        let code = Code::build(
             "traced",
             0,
             false,
             instrs,
             vec![Value::symbol("mark")],
             vec![],
-        ));
+        );
         let mut m = Machine::new(MachineConfig::default().with_trace(true));
         let mut status = m.run_code_sliced(code, 1).unwrap();
         loop {
@@ -2796,7 +2780,7 @@ mod tests {
 
     #[test]
     fn untraced_machine_journals_nothing() {
-        let code = Rc::new(Code::build(
+        let code = Code::build(
             "plain",
             0,
             false,
@@ -2808,7 +2792,7 @@ mod tests {
             ],
             vec![Value::fixnum(1)],
             vec![],
-        ));
+        );
         let mut m = Machine::new(MachineConfig::default());
         m.run_code(code).unwrap();
         assert!(m.journal.is_empty());

@@ -1817,9 +1817,9 @@ fn materialize(p: &Parsed) -> Result<Mat, SnapshotError> {
     }
     mat.records = records;
 
-    // Codes: child-first (iterative DFS with cycle detection). Constants
-    // are tenured — code objects outlive any single run, so their
-    // constants must be permanent exactly as compiler-built code's are.
+    // Codes: child-first (iterative DFS with cycle detection). Building
+    // a code registers its constants with the collector, exactly as a
+    // compiler-built code's are, so they live as long as the code.
     let n = p.codes.len();
     for rc in &p.codes {
         for &c in &rc.children {
@@ -1846,9 +1846,6 @@ fn materialize(p: &Parsed) -> Result<Mat, SnapshotError> {
                     }
                     let raw = &p.codes[i];
                     let consts = mat.values(&raw.consts)?;
-                    for v in &consts {
-                        heap::tenure_value(*v);
-                    }
                     validate_instrs(&raw.instrs, consts.len(), raw.children.len())?;
                     let children: Vec<Rc<Code>> = raw
                         .children
@@ -1859,14 +1856,14 @@ fn materialize(p: &Parsed) -> Result<Mat, SnapshotError> {
                                 .ok_or_else(|| malformed("code child not built"))
                         })
                         .collect::<Result<_, _>>()?;
-                    built[i] = Some(Rc::new(Code::build(
+                    built[i] = Some(Code::build(
                         raw.name.clone(),
                         raw.arity_required,
                         raw.rest,
                         raw.instrs.clone(),
                         consts,
                         children,
-                    )));
+                    ));
                     state[i] = 2;
                     stack.pop();
                 }
@@ -2157,9 +2154,8 @@ impl Machine {
             return Err(malformed("trailing bytes after run section"));
         }
 
-        // Decode allocations are run-scoped: collectable once the run's
-        // root guard drops, exactly like values a live run allocates.
-        let _scope = heap::alloc_scope();
+        // Decode allocations are ordinary objects: what the globals, the
+        // codes and the run's root guard below do not reach is garbage.
         let mat = materialize(&parsed)?;
 
         // Rebuild globals: `with_globals` installs the natives (interning
@@ -2283,6 +2279,7 @@ mod tests {
     use super::super::RunStatus;
     use super::*;
     use crate::code::PrimOp;
+    use crate::heap::Rooted;
 
     /// A program exercising globals, attachments, and a heap constant:
     /// sets a global to 40, then computes (+ (+ 2 40) (cdr '(3 . 8)))
@@ -2309,7 +2306,7 @@ mod tests {
             Value::cons(Value::fixnum(3), Value::fixnum(8)),
             Value::symbol("m"),
         ];
-        let code = Rc::new(Code::build("snap-prog", 0, false, instrs, consts, vec![]));
+        let code = Code::build("snap-prog", 0, false, instrs, consts, vec![]);
         (code, gid)
     }
 
@@ -2327,7 +2324,7 @@ mod tests {
         }
     }
 
-    fn finish(m: &mut Machine, run: SuspendedRun) -> Value {
+    fn finish(m: &mut Machine, run: SuspendedRun) -> Rooted {
         match m.resume(run, u64::MAX).expect("resume to completion") {
             RunStatus::Done(v) => v,
             RunStatus::Suspended(_) => panic!("did not finish"),

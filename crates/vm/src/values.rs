@@ -182,6 +182,22 @@ impl Value {
         matches!(self, Value::Closure(_) | Value::Native(_) | Value::Cont(_))
     }
 
+    /// Whether this value is a handle into the heap (and so needs a root
+    /// to survive a collection).
+    pub(crate) fn is_heap(&self) -> bool {
+        matches!(
+            self,
+            Value::Str(_)
+                | Value::Pair(_)
+                | Value::Vector(_)
+                | Value::Box(_)
+                | Value::Table(_)
+                | Value::Record(_)
+                | Value::Closure(_)
+                | Value::Cont(_)
+        )
+    }
+
     /// `eq?` — handle identity for heap values, value identity for
     /// immediates. (Flonums compare by bits, as in `eqv?`; Chez's `eq?` on
     /// flonums is unspecified, and this choice keeps `eq?` usable as a

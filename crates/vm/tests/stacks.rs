@@ -2,15 +2,13 @@
 //! fusion, and the attachment register — driven through hand-assembled
 //! code objects plus property tests of the attachment invariants.
 
-use std::rc::Rc;
-
-use cm_vm::{Code, Instr, Machine, MachineConfig, PrimOp, Value};
+use cm_vm::{Code, Instr, Machine, MachineConfig, PrimOp, Rooted, Value};
 use proptest::prelude::*;
 
-fn run_with(config: MachineConfig, instrs: Vec<Instr>, consts: Vec<Value>) -> (Value, Machine) {
+fn run_with(config: MachineConfig, instrs: Vec<Instr>, consts: Vec<Value>) -> (Rooted, Machine) {
     let code = Code::build("test", 0, false, instrs, consts, vec![]);
     let mut m = Machine::new(config);
-    let v = m.run_code(Rc::new(code)).unwrap();
+    let v = m.run_code(code).unwrap();
     (v, m)
 }
 
@@ -45,7 +43,7 @@ fn deep_nontail_calls_split_segments() {
             Instr::Return,
         ],
         vec![Value::Void, Value::fixnum(500)],
-        vec![Rc::new(Code::build(
+        vec![Code::build(
             "f",
             1,
             false,
@@ -67,14 +65,14 @@ fn deep_nontail_calls_split_segments() {
             ],
             vec![Value::fixnum(0), Value::fixnum(1)],
             vec![],
-        ))],
+        )],
     );
     let cfg = MachineConfig {
         segment_frame_limit: 16,
         ..Default::default()
     };
     let mut m = Machine::new(cfg);
-    let v = m.run_code(Rc::new(code)).unwrap();
+    let v = m.run_code(code).unwrap();
     assert!(v.eq_value(&Value::fixnum(500)));
     assert!(m.stats.overflow_splits >= 500 / 16, "{:?}", m.stats);
     assert!(m.stats.fusions > 0 && m.stats.copies == 0, "{:?}", m.stats);

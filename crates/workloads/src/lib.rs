@@ -21,7 +21,7 @@
 //! ```
 
 use cm_core::{Engine, EngineError};
-use cm_vm::Value;
+use cm_vm::{Rooted, Value};
 
 /// A benchmark workload: a Scheme source bundle with a 1-argument entry
 /// procedure.
@@ -72,7 +72,7 @@ pub fn load_into(engine: &mut Engine, w: &Workload) {
 /// # Errors
 ///
 /// Propagates any engine error.
-pub fn run_scaled(engine: &mut Engine, w: &Workload, n: i64) -> Result<Value, EngineError> {
+pub fn run_scaled(engine: &mut Engine, w: &Workload, n: i64) -> Result<Rooted, EngineError> {
     engine.call_global(w.entry, vec![Value::fixnum(n)])
 }
 

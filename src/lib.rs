@@ -68,7 +68,7 @@ pub use cm_vm as vm;
 pub use cm_workloads as workloads;
 
 pub use cm_core::{all_configs, Engine, EngineConfig, EngineError};
-pub use cm_vm::{MachineStats, Value};
+pub use cm_vm::{MachineStats, Rooted, Value};
 
 #[cfg(test)]
 mod tests {

@@ -1,16 +1,20 @@
-//! Heap-liveness tests for the handle heap's rooting inventory: values
+//! Heap-liveness tests for the handle heap's rooting rule: values
 //! reachable only through captured continuations, winder thunks, globals,
 //! or a suspended engine's frozen state must survive forced collections
-//! and come back bit-identical (`write`-equal) to an unstressed run.
+//! and come back bit-identical (`write`-equal) to an unstressed run; and
+//! values nothing reaches any more — dropped results, the constants of
+//! dropped code, the decoded state of a migrated engine — must not stay
+//! behind, so memory stays bounded under sustained use.
 //!
-//! Each scenario runs under every engine configuration in the evaluation
-//! matrix (`cm_core::all_configs`): the rooting paths differ between the
-//! eager-mark-stack and attachment models, and between the
+//! Each rooting scenario runs under every engine configuration in the
+//! evaluation matrix (`cm_core::all_configs`): the rooting paths differ
+//! between the eager-mark-stack and attachment models, and between the
 //! segment/underflow variants, so one config passing proves little about
 //! the others.
 
-use cm_core::{all_configs, Engine};
+use cm_core::{all_configs, Engine, EngineConfig};
 use cm_engines::{RunResult, WorkerHost};
+use cm_vm::heap_stats;
 
 /// An allocation churn loop: builds and drops `n` vectors so that, with
 /// `gc_stress` on, every iteration forces collections while the scenario's
@@ -221,4 +225,124 @@ fn gc_stress_engine_suspends_collects_and_resumes_identically() {
         assert!(suspensions > 0, "{config_name}: never suspended");
         assert_eq!(got.write_string(), expected, "{config_name}");
     }
+}
+
+/// Forces a full collection on `engine`'s machine and returns the thread
+/// heap's live object count.
+fn live_after_collect(engine: &mut Engine) -> u64 {
+    engine.machine_mut().collect_now();
+    heap_stats().live_objects
+}
+
+#[test]
+fn distinct_evals_leave_live_objects_bounded() {
+    // Each eval compiles a fresh string constant and returns a fresh
+    // list; once the result is dropped, neither may stay behind.
+    fn eval_range(engine: &mut Engine, range: std::ops::Range<u64>) -> u64 {
+        for i in range {
+            let got = engine
+                .eval(&format!("(list {i} (+ {i} 1) \"s{i}\")"))
+                .unwrap();
+            assert_eq!(got.write_string(), format!("({i} {} \"s{i}\")", i + 1));
+        }
+        live_after_collect(engine)
+    }
+    let mut engine = Engine::new(EngineConfig::full());
+    let at_1000 = eval_range(&mut engine, 0..1000);
+    let at_3000 = eval_range(&mut engine, 1000..3000);
+    assert!(
+        at_3000 <= at_1000 + 16,
+        "live objects grew from {at_1000} to {at_3000} over 2,000 evals"
+    );
+}
+
+#[test]
+fn dropped_codes_free_their_constants() {
+    let mut engine = Engine::new(EngineConfig::full());
+    let start = live_after_collect(&mut engine);
+    for i in 0..500 {
+        let code = engine
+            .compile_only(&format!("(lambda () '(a (b {i}) \"q{i}\" #(c {i})))"))
+            .unwrap();
+        drop(code);
+    }
+    assert_eq!(
+        live_after_collect(&mut engine),
+        start,
+        "constants of 500 dropped codes stayed live"
+    );
+}
+
+#[test]
+fn held_result_survives_stress_runs_and_dies_with_its_holder() {
+    // Nine objects: three spine pairs, two strings, a vector, the pairs
+    // of `(2 3)` and `(x . "y")`.
+    const HELD: &str = "(list \"held\" (vector 1 (list 2 3)) (cons 'x \"y\"))";
+    const HELD_OBJECTS: u64 = 9;
+    for (config_name, config) in all_configs() {
+        let mut stressed = config.clone();
+        stressed.machine.gc_stress = true;
+        let mut engine = Engine::new(stressed);
+        engine.eval(CHURN).unwrap();
+        let held = engine.eval(HELD).unwrap();
+        let expected = held.write_string();
+        for i in 0..50 {
+            engine.eval(&format!("(churn {} '())", 2 + i % 3)).unwrap();
+            assert_eq!(
+                held.write_string(),
+                expected,
+                "{config_name}: run {i} corrupted a held result"
+            );
+        }
+        let with_holder = live_after_collect(&mut engine);
+        drop(held);
+        let freed = with_holder - live_after_collect(&mut engine);
+        assert_eq!(
+            freed, HELD_OBJECTS,
+            "{config_name}: dropping the holder freed {freed} objects"
+        );
+    }
+}
+
+#[test]
+fn hopped_state_job_leaves_nothing_behind() {
+    // A `with-state` job run once in place and once hopped through
+    // snapshot -> drop -> restore at every suspension, the way the
+    // stealing pool migrates engines: the decoded globals, codes and
+    // constants of every hop must die with the engine they rebuilt.
+    const JOB: &str = "(with-state 0
+                         (lambda ()
+                           (let loop ([i 0])
+                             (if (= i 60)
+                                 (state-get)
+                                 (begin (state-put (+ (state-get) i)) (loop (+ i 1)))))))";
+    fn run(host: &mut WorkerHost, hop: bool) -> (String, u64, u32) {
+        let mut engine = host.spawn(JOB).unwrap();
+        let mut hops = 0;
+        let answer = loop {
+            match engine.run(400) {
+                RunResult::Suspended(mut next, _) => {
+                    if hop {
+                        let bytes = next.snapshot().unwrap();
+                        drop(next);
+                        next = cm_engines::Engine::restore(&bytes).unwrap();
+                        hops += 1;
+                    }
+                    engine = next;
+                }
+                RunResult::Done(v, _) => break v.write_string(),
+                RunResult::Failed(e, _) => panic!("{e}"),
+            }
+        };
+        (answer, live_after_collect(host.core_mut()), hops)
+    }
+    let mut host = WorkerHost::new(EngineConfig::full());
+    let (plain, plain_live, _) = run(&mut host, false);
+    let (hopped, hopped_live, hops) = run(&mut host, true);
+    assert_eq!(hopped, plain, "hopping changed the answer");
+    assert!(hops >= 10, "only {hops} hops");
+    assert!(
+        hopped_live <= plain_live + 16,
+        "{hops} hops left {hopped_live} live objects against {plain_live} unhopped"
+    );
 }

@@ -12,6 +12,11 @@
 //!          [--replay-schedule PATH]
 //! ```
 //!
+//! Every flag composes: static sharding, `--steal` and
+//! `--replay-schedule` run the same per-worker scheduler, so `--policy`,
+//! `--deadline-ms`, `--checkpoint` (with its retry and backoff knobs)
+//! and `--pool-budget-mb` apply in every mode.
+//!
 //! With `--checkpoint` the per-worker schedulers become supervisors:
 //! every task is snapshotted at every suspension, and a faulting task
 //! (runtime error, injected fault, heap limit, deadline) restarts from
@@ -114,8 +119,8 @@ const USAGE: &str = "usage: cm-sched [--quick] [--tasks N] [--workers N] [--slic
   --retry-budget N  max supervised restarts per task (default 3)
   --backoff TICKS   scheduler ticks before the first restart, doubling per
                     retry (default 2)
-  --pool-budget-mb N  prefer draining started tasks while aggregate live
-                    heap bytes exceed this budget (backpressure)
+  --pool-budget-mb N  admit no more queued tasks while a worker's live
+                    heap exceeds this budget (backpressure)
   --fail-prim-at N  arm fault injection: every engine fails its Nth
                     primitive call (pairs with --checkpoint for recovery)
   --steal           work-stealing pool: idle workers take fresh jobs from
@@ -226,12 +231,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.tasks == 0 {
         return Err("--tasks must be at least 1".into());
-    }
-    if args.steal && args.checkpoint {
-        // Checkpoint supervision belongs to the static pool's
-        // single-threaded scheduler; the stealing pool drives engines
-        // with its own queue loop.
-        return Err("--steal and --checkpoint are mutually exclusive".into());
     }
     Ok(args)
 }

@@ -24,8 +24,6 @@ use cm_vm::{
     SnapshotError, SuspendedRun, Value, VmError,
 };
 
-use crate::spans::SpanSink;
-
 /// What one fuel slice of an engine produced.
 ///
 /// `Suspended` returns the engine itself (updated in place) — the
@@ -60,10 +58,6 @@ pub struct Engine {
     // returns it), and `Machine` is several hundred bytes.
     machine: Box<Machine>,
     state: State,
-    /// Optional span recording: every [`Engine::run`] call becomes an
-    /// `"engine-run"` span named `label` in the sink. `None` (the
-    /// default) costs nothing on the run path.
-    span_sink: Option<(SpanSink, String)>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -84,47 +78,17 @@ impl Engine {
         Engine {
             machine: Box::new(Machine::with_globals(config, globals)),
             state: State::Ready(code),
-            span_sink: None,
         }
-    }
-
-    /// Attaches a span sink: every subsequent [`Engine::run`] call is
-    /// recorded as an `"engine-run"` span named `label`. The sink rides
-    /// along through suspensions (it is part of the engine value).
-    pub fn with_span_sink(mut self, sink: SpanSink, label: impl Into<String>) -> Engine {
-        self.span_sink = Some((sink, label.into()));
-        self
     }
 
     /// Runs the engine for at most `fuel` steps.
     pub fn run(mut self, fuel: u64) -> RunResult {
-        let started = self.span_sink.as_ref().map(|_| std::time::Instant::now());
-        let steps_before = self.machine.stats.steps_executed;
         let status = match std::mem::replace(&mut self.state, State::Spent) {
             State::Ready(code) => self.machine.run_code_sliced(code, fuel),
             State::Suspended(run) => self.machine.resume(run, fuel),
             State::Spent => Err(VmError::other("engine already ran to completion")),
         };
         let stats = self.machine.stats;
-        if let (Some((sink, label)), Some(start)) = (&self.span_sink, started) {
-            let outcome = match &status {
-                Ok(RunStatus::Done(_)) => "done",
-                Ok(RunStatus::Suspended(_)) => "suspended",
-                Err(_) => "failed",
-            };
-            sink.borrow_mut().record(
-                label.clone(),
-                "engine-run",
-                0,
-                start,
-                std::time::Instant::now(),
-                vec![
-                    ("fuel", fuel.to_string()),
-                    ("steps", (stats.steps_executed - steps_before).to_string()),
-                    ("outcome", outcome.to_string()),
-                ],
-            );
-        }
         match status {
             Ok(RunStatus::Done(v)) => RunResult::Done(v, stats),
             Ok(RunStatus::Suspended(run)) => {
@@ -201,7 +165,10 @@ impl Engine {
     /// just its code (re-spawn it), and a `Spent` engine has no state.
     ///
     /// The engine is left suspended and still resumable; the bytes can be
-    /// [`Engine::restore`]d later, on any thread.
+    /// [`Engine::restore`]d later, on any thread. They are `Send`, unlike
+    /// the engine, so they are the only form in which a started task
+    /// crosses worker threads. The restored machine counts from zero:
+    /// callers that account across the hop add [`Engine::stats`] first.
     ///
     /// # Errors
     ///
@@ -209,7 +176,7 @@ impl Engine {
     pub fn snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
         // Destructure for disjoint borrows: the machine serializes a run
         // it does not own.
-        let Engine { machine, state, .. } = self;
+        let Engine { machine, state } = self;
         match state {
             State::Suspended(run) => machine.snapshot_suspended(run),
             State::Ready(_) => Err(SnapshotError::Rejected {
@@ -225,8 +192,7 @@ impl Engine {
     /// decoded from the snapshot is re-run through the bytecode verifier
     /// before the engine can execute a single instruction, so a forged or
     /// stale snapshot cannot smuggle ill-formed code past compile-time
-    /// checking. The restored engine starts with a fresh span sink
-    /// (attach one with [`Engine::with_span_sink`]).
+    /// checking.
     ///
     /// # Errors
     ///
@@ -260,65 +226,8 @@ impl Engine {
         Ok(Engine {
             machine: Box::new(machine),
             state: State::Suspended(run),
-            span_sink: None,
         })
     }
-
-    /// Serializes this engine into a [`MigrationTicket`] — the `Send`
-    /// hand-off unit for cross-worker work stealing. The engine is
-    /// consumed: migration is a *move*, and leaving a resumable copy on
-    /// the victim would break the one-shot discipline (two workers could
-    /// resume the same continuation).
-    ///
-    /// The ticket carries the engine's accumulated [`MachineStats`]
-    /// because a restored machine starts with fresh counters (only
-    /// `restores` is pre-set): the thief adds the carried stats to the
-    /// task's running totals so fairness accounting survives the hop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine (unconsumed) plus the [`SnapshotError`] when
-    /// the engine is not suspended or serialization fails.
-    // The Err variant hands the engine back by value on purpose: a
-    // refused donation must stay runnable on the victim. Boxing it
-    // would add an allocation to a path that exists to avoid loss.
-    #[allow(clippy::result_large_err)]
-    pub fn into_ticket(mut self) -> Result<MigrationTicket, (Engine, SnapshotError)> {
-        match self.snapshot() {
-            Ok(bytes) => Ok(MigrationTicket {
-                bytes,
-                stats: self.machine.stats,
-            }),
-            Err(e) => Err((self, e)),
-        }
-    }
-
-    /// Rebuilds an engine from a migration ticket on the *receiving*
-    /// worker — [`Engine::restore`] plus the full re-verification it
-    /// implies. The carried stats are in [`MigrationTicket::stats`]; the
-    /// restored engine's own counters start fresh.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from decoding or re-verification.
-    pub fn from_ticket(ticket: &MigrationTicket) -> Result<Engine, SnapshotError> {
-        Engine::restore(&ticket.bytes)
-    }
-}
-
-/// A suspended engine serialized for cross-worker migration: snapshot
-/// bytes plus the accounting accumulated before the hop. Unlike
-/// [`Engine`] (which is `Rc`-pinned to its thread), a ticket is plain
-/// `Send` data — this is the only form in which a started task crosses
-/// worker threads.
-#[derive(Debug, Clone)]
-pub struct MigrationTicket {
-    /// CMSN snapshot bytes ([`Engine::snapshot`] output): versioned,
-    /// checksummed, re-verified on restore.
-    pub bytes: Vec<u8>,
-    /// The machine's counters at serialization time. Restored machines
-    /// count from zero, so schedulers sum carried stats across hops.
-    pub stats: MachineStats,
 }
 
 /// A per-worker engine factory: one prelude-loaded [`cm_core::Engine`]
@@ -445,51 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_span_sink_records_every_run_and_marks_are_sampleable() {
-        let mut host = WorkerHost::new(EngineConfig::default());
-        host.load(
-            "(define (deep n)
-               (if (zero? n)
-                   (continuation-mark-set-first #f 'd -1)
-                   (with-continuation-mark 'd n (add1 (deep (- n 1))))))",
-        )
-        .unwrap();
-        let sink = crate::spans::span_sink();
-        let mut engine = host
-            .spawn("(deep 400)")
-            .unwrap()
-            .with_span_sink(sink.clone(), "deep");
-        let mut runs = 0u64;
-        let mut saw_marks = false;
-        loop {
-            runs += 1;
-            match engine.run(64) {
-                RunResult::Done(_, _) => break,
-                RunResult::Suspended(e, _) => {
-                    // The suspended marks register is the profiler's
-                    // sampling surface: a proper list mid-`deep`.
-                    if let Some(marks) = e.suspended_marks() {
-                        saw_marks |= marks.list_to_vec().map_or(0, |v| v.len()) > 0;
-                    }
-                    engine = e;
-                }
-                RunResult::Failed(e, _) => panic!("failed: {e}"),
-            }
-        }
-        assert!(saw_marks, "no suspension exposed a nonempty marks register");
-        let log = sink.borrow();
-        assert_eq!(log.len() as u64, runs);
-        assert!(log.spans().iter().all(|s| s.cat == "engine-run"));
-        assert_eq!(
-            log.spans()
-                .iter()
-                .filter(|s| s.args.iter().any(|(k, v)| *k == "outcome" && v == "done"))
-                .count(),
-            1
-        );
-    }
-
-    #[test]
     fn engine_snapshot_restore_resumes_to_same_value() {
         let mut host = WorkerHost::new(EngineConfig::default());
         host.load(
@@ -584,18 +448,28 @@ mod tests {
         .unwrap();
         let mut a = Some(host.spawn("(deep 120)").unwrap());
         let mut b = Some(host.spawn("(deep 60)").unwrap());
+        assert!(a.as_ref().unwrap().suspended_marks().is_none());
         let (mut va, mut vb) = (None, None);
+        let mut saw_marks = false;
         while a.is_some() || b.is_some() {
             for (slot, out) in [(&mut a, &mut va), (&mut b, &mut vb)] {
                 if let Some(engine) = slot.take() {
                     match engine.run(37) {
                         RunResult::Done(v, _) => *out = Some(v.display_string()),
-                        RunResult::Suspended(e, _) => *slot = Some(e),
+                        RunResult::Suspended(e, _) => {
+                            // The suspended marks register is the
+                            // profiler's sampling surface: a proper list
+                            // mid-`deep`.
+                            let marks = e.suspended_marks().expect("suspended");
+                            saw_marks |= marks.list_to_vec().map_or(0, |v| v.len()) > 0;
+                            *slot = Some(e);
+                        }
                         RunResult::Failed(e, _) => panic!("failed: {e}"),
                     }
                 }
             }
         }
+        assert!(saw_marks, "no suspension exposed a nonempty marks register");
         assert_eq!(va.as_deref(), Some("121"));
         assert_eq!(vb.as_deref(), Some("61"));
     }

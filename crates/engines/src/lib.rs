@@ -14,14 +14,17 @@
 //! * [`engine`] — [`Engine`]: one suspendable program;
 //!   [`WorkerHost`]: a prelude-loaded compiler + globals that spawns
 //!   engines cheaply.
-//! * [`sched`] — [`Scheduler`]: interleaves many engines on one thread
-//!   (round-robin or earliest-deadline-first), enforcing per-task
-//!   [`MachineConfig::deadline`](cm_vm::MachineConfig) timeouts and
-//!   producing per-task [`TaskReport`]s.
-//! * [`pool`] — [`run_pool`]: shards `Send` job specs across N worker
-//!   threads, each with its own host and scheduler (the VM is `Rc`-based,
-//!   so engines never migrate), and aggregates throughput / latency /
-//!   fairness [`SchedMetrics`].
+//! * [`sched`] — [`Scheduler`]: the one slice loop. It interleaves many
+//!   engines on one thread (round-robin or earliest-deadline-first),
+//!   enforcing per-task [`MachineConfig::deadline`](cm_vm::MachineConfig)
+//!   timeouts, supervising checkpointed tasks, and producing per-task
+//!   [`TaskReport`]s.
+//! * [`pool`] — [`run_pool`]: shards `Send` job specs across N workers,
+//!   each a host, a scheduler and an inbox, and aggregates throughput /
+//!   latency / fairness [`SchedMetrics`]. [`steal`] decides who moves
+//!   work: nobody (static sharding), idle and busy workers (stealing,
+//!   with started engines crossing threads as snapshot bytes, since the
+//!   VM is `Rc`-based), or a recorded schedule (the replay simulator).
 //!
 //! The `cm-sched` binary drives the paper's §2 examples and the
 //! benchmark workloads through the pool concurrently and reports the
@@ -52,8 +55,8 @@ pub mod sched;
 pub mod spans;
 pub mod steal;
 
-pub use engine::{Engine, MigrationTicket, RunResult, WorkerHost};
+pub use engine::{Engine, RunResult, WorkerHost};
 pub use pool::{run_pool, JobSpec, PoolConfig, PoolReport, PoolSpec, WorkerSummary};
 pub use sched::{jain_index, Outcome, Policy, SchedConfig, SchedMetrics, Scheduler, TaskReport};
-pub use spans::{span_sink, Span, SpanLog, SpanSink};
+pub use spans::{Span, SpanLog};
 pub use steal::{StealConfig, StealEvent, StealSchedule};

@@ -1,31 +1,41 @@
-//! A multi-worker pool: N OS threads, each owning a [`WorkerHost`] and a
-//! [`Scheduler`], with jobs sharded across them.
+//! The pool: N workers, each a [`WorkerHost`], a [`Scheduler`] and an
+//! inbox, with jobs sharded across them by `id % workers`.
 //!
-//! The VM's values are `Rc`-based and single-threaded by design, so the
-//! pool never moves an engine between threads. Instead, only `Send` data
-//! crosses the boundary: job *specs* (source strings) go in, rendered
-//! [`TaskReport`]s come out. Each worker builds its own prelude-loaded
-//! host, loads the workload definitions once, spawns its shard of engines
-//! against those shared globals, and drives them with its own scheduler.
+//! The VM's values are `Rc`-based and single-threaded by design, so an
+//! engine never crosses threads. Only `Send` data does: job *specs*
+//! (source strings) and suspended engines serialized to snapshot bytes
+//! go in, rendered [`TaskReport`]s come out. Each worker builds its own
+//! prelude-loaded host, loads the setup definitions once, computes the
+//! verification baselines of its initial shard, and then admits from the
+//! front of its inbox — up to 32 live engines, fewer while the heap is
+//! over [`SchedConfig::pool_budget_bytes`] — into the scheduler that runs
+//! every slice.
 //!
-//! Sharding is static round-robin by submission index — deterministic, no
-//! work stealing — which keeps per-worker results reproducible and makes
-//! the fairness numbers attributable to the *scheduler*, not to shard
-//! luck. Setting [`PoolConfig::steal`] replaces the static sharding with
-//! per-worker run queues, work stealing, and snapshot-based engine
-//! migration (see [`steal`](crate::steal)); the static path stays the
-//! default so the sliced-vs-uninterrupted oracle keeps running against
-//! an unmoving pool.
+//! Every task has one record that survives supervised restarts and
+//! moves between workers, so deadline, checkpoint, retry and accounting
+//! behave alike in all three modes, which differ only in who moves work:
+//!
+//! * **Static sharding** ([`PoolConfig::steal`] unset): one thread per
+//!   worker and no moves — deterministic placement, so the
+//!   sliced-vs-uninterrupted oracle runs against an unmoving pool.
+//! * **Stealing pool**: one thread per worker; idle workers steal and
+//!   busy ones donate (see [`crate::steal`]).
+//! * **Replay simulator**: the same workers stepped round-robin on one
+//!   thread; moves and kills come from a recorded schedule.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use cm_core::EngineConfig;
 
-use crate::engine::WorkerHost;
-use crate::sched::{Outcome, SchedConfig, SchedMetrics, Scheduler, TaskReport};
-use crate::spans::{Span, SpanLog};
+use crate::engine::{Engine, WorkerHost};
+use crate::sched::{Outcome, Record, SchedConfig, SchedMetrics, Scheduler, Task, TaskReport};
+use crate::spans::Span;
 use crate::steal::{self, StealConfig, StealSchedule};
+
+/// Most engines a worker keeps live (materialized) at once; further
+/// work waits in its inbox, where thieves can reach it.
+const LOCAL_CAP: usize = 32;
 
 /// One unit of work: an expression to run (against the pool's shared
 /// setup definitions), plus what it should produce.
@@ -58,7 +68,7 @@ pub struct PoolSpec {
 /// Pool-level knobs.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker-thread count (clamped to at least 1).
+    /// Worker count (clamped to at least 1).
     pub workers: usize,
     /// Scheduler configuration, cloned into every worker.
     pub sched: SchedConfig,
@@ -83,7 +93,7 @@ impl Default for PoolConfig {
     }
 }
 
-/// What one worker thread produced.
+/// What one worker produced.
 #[derive(Debug)]
 pub struct WorkerSummary {
     /// Worker index (also the shard residue).
@@ -91,13 +101,13 @@ pub struct WorkerSummary {
     /// Per-task reports in retirement order.
     pub reports: Vec<TaskReport>,
     /// Human-readable result mismatches (empty unless
-    /// [`PoolSpec::verify`]).
+    /// [`PoolSpec::verify`] or a job's `expected`).
     pub mismatches: Vec<String>,
-    /// This worker's own wall time (setup + baselines + scheduling).
+    /// Pool start to this worker's finish.
     pub wall: Duration,
-    /// Timeline spans (one `"worker"` span plus per-slice `"slice"`
-    /// spans), all relative to the pool's start and tagged with this
-    /// worker's index as `tid`. Empty unless
+    /// Timeline spans (per-slice `"slice"` spans, `"steal"` / `"migrate"`
+    /// marks, and one `"worker"` span), all relative to the pool's start
+    /// and tagged with this worker's index as `tid`. Empty unless
     /// [`SchedConfig::record_spans`].
     pub spans: Vec<Span>,
     /// Instructions this worker actually executed (across every task it
@@ -106,7 +116,7 @@ pub struct WorkerSummary {
     /// unlike per-task fairness, it stays meaningful when tasks want
     /// wildly different amounts of work.
     pub steps_executed: u64,
-    /// Set if the worker thread panicked; its remaining jobs are lost.
+    /// Set if the worker thread panicked; the tasks it held fail.
     pub panicked: Option<String>,
 }
 
@@ -128,6 +138,21 @@ pub struct PoolReport {
     /// p50/p95/p99, Jain fairness, and migration counts). Empty unless
     /// [`SchedConfig::record_spans`].
     pub pool_spans: Vec<Span>,
+}
+
+impl WorkerSummary {
+    /// A worker that panicked before it held anything.
+    pub(crate) fn lost(worker: usize, panicked: Option<String>, epoch: Instant) -> WorkerSummary {
+        WorkerSummary {
+            worker,
+            reports: Vec::new(),
+            mismatches: Vec::new(),
+            wall: epoch.elapsed(),
+            spans: Vec::new(),
+            steps_executed: 0,
+            panicked,
+        }
+    }
 }
 
 impl PoolReport {
@@ -166,179 +191,205 @@ impl PoolReport {
     }
 }
 
-fn run_worker(
-    worker: usize,
-    config: &PoolConfig,
-    spec: &PoolSpec,
-    shard: Vec<(usize, JobSpec)>,
-    epoch: Instant,
-) -> WorkerSummary {
-    let start = Instant::now();
-    let mut reports = Vec::new();
-    let mut mismatches = Vec::new();
-    let mut host = WorkerHost::new(config.engine.clone());
-    for (i, setup) in spec.setups.iter().enumerate() {
-        if let Err(e) = host.load(setup) {
-            // Setup failure dooms the whole shard; report each job.
-            for (id, job) in &shard {
-                reports.push(TaskReport {
-                    id: *id,
-                    name: job.name.clone(),
-                    outcome: Outcome::Failed(format!("worker setup #{i} failed: {e}")),
-                    slices: 0,
-                    steps: 0,
-                    allocations: 0,
-                    collections: 0,
-                    bytes_live_peak: 0,
-                    turnaround: Duration::ZERO,
-                    retries: 0,
-                    checkpoints: 0,
-                    migrations: 0,
-                    steals: 0,
-                });
-            }
-            return WorkerSummary {
-                worker,
-                reports,
-                mismatches,
-                wall: start.elapsed(),
-                spans: Vec::new(),
-                steps_executed: 0,
-                panicked: None,
-            };
+/// What sits in an inbox: a task's record plus, once it has run, its
+/// snapshot bytes. Plain `Send` data — engines exist only inside one
+/// worker.
+pub(crate) struct Packet {
+    pub record: Record,
+    /// `None`: the task never ran, and any worker compiles `record.run`.
+    pub snapshot: Option<Vec<u8>>,
+}
+
+impl Packet {
+    fn fresh(id: usize, job: &JobSpec, accepted: Instant) -> Packet {
+        let mut record = Record::new(id, job.name.clone(), accepted);
+        record.run.clone_from(&job.run);
+        record.expected.clone_from(&job.expected);
+        Packet {
+            record,
+            snapshot: None,
         }
     }
-    // Uninterrupted baselines for verification, computed before any
-    // sliced run touches the shared globals.
-    let mut expectations: Vec<Option<String>> = Vec::with_capacity(shard.len());
-    for (_, job) in &shard {
-        if let Some(e) = &job.expected {
-            expectations.push(Some(e.clone()));
-        } else if spec.verify {
-            match host.eval(&job.run) {
-                Ok(v) => expectations.push(Some(v.write_string())),
-                Err(e) => {
-                    mismatches.push(format!("{}: baseline run failed: {e}", job.name));
-                    expectations.push(None);
-                }
+
+    /// Serializes a live task for a move to another worker, folding the
+    /// machine's counters into the record (the receiver's restored
+    /// machine counts from zero). A task that never ran travels as its
+    /// source. Hands the task back when the engine refuses to serialize.
+    #[allow(clippy::result_large_err)] // a refused move keeps the task
+    fn pack(task: Task) -> Result<Packet, (Task, String)> {
+        let Task {
+            mut record,
+            mut engine,
+        } = task;
+        let snapshot = if engine.is_suspended() {
+            match engine.snapshot() {
+                Ok(bytes) => Some(bytes),
+                Err(e) => return Err((Task { record, engine }, e.to_string())),
             }
         } else {
-            expectations.push(None);
-        }
-    }
-    let mut sched = Scheduler::new(config.sched.clone());
-    // Spans from every worker share the pool's start as their origin, so
-    // the per-worker lanes line up on one timeline.
-    let tid = u32::try_from(worker).unwrap_or(u32::MAX);
-    sched.set_span_log(SpanLog::with_origin(epoch), tid);
-    let mut submitted: Vec<(usize, Option<String>)> = Vec::with_capacity(shard.len());
-    for ((id, job), expected) in shard.iter().zip(expectations) {
-        match host.spawn(&job.run) {
-            Ok(engine) => {
-                let task = sched.submit(job.name.clone(), engine);
-                debug_assert_eq!(task, submitted.len());
-                submitted.push((*id, expected));
-            }
-            Err(e) => reports.push(TaskReport {
-                id: *id,
-                name: job.name.clone(),
-                outcome: Outcome::Failed(format!("compile failed: {e}")),
-                slices: 0,
-                steps: 0,
-                allocations: 0,
-                collections: 0,
-                bytes_live_peak: 0,
-                turnaround: Duration::ZERO,
-                retries: 0,
-                checkpoints: 0,
-                migrations: 0,
-                steals: 0,
-            }),
-        }
-    }
-    let (mut retired, span_log) = sched.run_all_traced();
-    for r in &mut retired {
-        let (global_id, expected) = &submitted[r.id];
-        if let (Outcome::Completed(got), Some(want)) = (&r.outcome, expected) {
-            if got != want {
-                mismatches.push(format!(
-                    "{}: sliced run produced {got}, uninterrupted run produced {want}",
-                    r.name
-                ));
-            }
-        }
-        r.id = *global_id;
-    }
-    reports.extend(retired);
-    let mut spans = span_log.into_spans();
-    if config.sched.record_spans {
-        let mut whole = SpanLog::with_origin(epoch);
-        whole.record(
-            format!("worker-{worker}"),
-            "worker",
-            tid,
-            start,
-            Instant::now(),
-            vec![("jobs", shard.len().to_string())],
-        );
-        spans.extend(whole.into_spans());
-    }
-    // Tasks never leave a static worker, so its executed steps are
-    // exactly the steps its reports account for.
-    let steps_executed = reports.iter().map(|r| r.steps).sum();
-    WorkerSummary {
-        worker,
-        reports,
-        mismatches,
-        wall: start.elapsed(),
-        spans,
-        steps_executed,
-        panicked: None,
+            None
+        };
+        record.absorb(&engine.stats());
+        record.steals += 1;
+        record.migrations += u32::from(snapshot.is_some());
+        Ok(Packet { record, snapshot })
     }
 }
 
-/// The summary for a worker whose thread panicked: every job on its
-/// shard gets a `Failed` report naming the panic, so a crashed worker
-/// never silently swallows its queue (the reports are what downstream
-/// accounting — retries, billing, `is_clean` — keys on).
-///
-/// Wall time and turnarounds are measured from the pool epoch to the
-/// panic, never zero: a `Duration::ZERO` summary would drag the batch's
-/// latency percentiles toward zero, making a *crash* look like the
-/// fastest work of the run.
-fn panicked_summary(
-    worker: usize,
-    manifest: Vec<(usize, String)>,
-    msg: String,
+/// One worker: a host, the scheduler that runs its slices, and the
+/// admission rule that feeds it from an inbox the driver holds.
+pub(crate) struct Worker<'a> {
+    pub w: usize,
+    config: &'a PoolConfig,
+    verify: bool,
+    // `Err` when a setup failed: every task this worker admits fails.
+    host: Result<WorkerHost, String>,
+    pub sched: Scheduler,
     epoch: Instant,
-) -> WorkerSummary {
-    let elapsed = epoch.elapsed();
-    let reports = manifest
-        .into_iter()
-        .map(|(id, name)| TaskReport {
-            id,
-            name,
-            outcome: Outcome::Failed(format!("worker panicked: {msg}")),
-            slices: 0,
-            steps: 0,
-            allocations: 0,
-            collections: 0,
-            bytes_live_peak: 0,
-            turnaround: elapsed,
-            retries: 0,
-            checkpoints: 0,
-            migrations: 0,
-            steals: 0,
-        })
-        .collect();
-    WorkerSummary {
-        worker,
-        reports,
-        mismatches: Vec::new(),
-        wall: elapsed,
-        spans: Vec::new(),
-        steps_executed: 0,
-        panicked: Some(msg),
+}
+
+impl<'a> Worker<'a> {
+    pub fn new(w: usize, config: &'a PoolConfig, spec: &PoolSpec, epoch: Instant) -> Worker<'a> {
+        let mut host = WorkerHost::new(config.engine.clone());
+        let host = spec
+            .setups
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, setup)| {
+                host.load(setup)
+                    .map_err(|e| format!("worker setup #{i} failed: {e}"))
+            })
+            .map(|()| host);
+        let tid = u32::try_from(w).unwrap_or(u32::MAX);
+        Worker {
+            w,
+            config,
+            verify: spec.verify,
+            host,
+            sched: Scheduler::for_worker(config.sched.clone(), epoch, tid),
+            epoch,
+        }
+    }
+
+    /// Whether every setup loaded; a worker that failed one steals
+    /// nothing.
+    pub fn is_ready(&self) -> bool {
+        self.host.is_ok()
+    }
+
+    /// Fills in the missing expectations of `inbox` — this worker's
+    /// initial shard — with uninterrupted baseline runs, before any
+    /// sliced run touches the shared globals. Stolen packets carry
+    /// theirs along.
+    pub fn baselines(&mut self, inbox: &mut VecDeque<Packet>) {
+        let (true, Ok(host)) = (self.verify, &mut self.host) else {
+            return;
+        };
+        for pkt in inbox.iter_mut().filter(|p| p.record.expected.is_none()) {
+            match host.eval(&pkt.record.run) {
+                Ok(v) => pkt.record.expected = Some(v.write_string()),
+                Err(e) => {
+                    let name = &pkt.record.name;
+                    self.sched
+                        .mismatches
+                        .push(format!("{name}: baseline run failed: {e}"));
+                }
+            }
+        }
+    }
+
+    /// The one admission rule: take packets from the inbox front while
+    /// fewer than [`LOCAL_CAP`] tasks are live and the thread's heap is
+    /// within [`SchedConfig::pool_budget_bytes`] — but always keep one
+    /// task live.
+    pub fn admit(&mut self, mut next: impl FnMut() -> Option<Packet>) {
+        let budget = self.config.sched.pool_budget_bytes;
+        while self.sched.pending() < LOCAL_CAP
+            && (self.sched.pending() == 0
+                || budget.is_none_or(|b| cm_vm::heap_stats().bytes_live <= b))
+        {
+            let Some(Packet { record, snapshot }) = next() else {
+                return;
+            };
+            let engine = match (&mut self.host, snapshot) {
+                (Err(msg), _) => Err(msg.clone()),
+                (Ok(host), None) => host
+                    .spawn(&record.run)
+                    .map_err(|e| format!("compile failed: {e}")),
+                (Ok(_), Some(bytes)) => {
+                    Engine::restore(&bytes).map_err(|e| format!("migration restore failed: {e}"))
+                }
+            };
+            match engine {
+                Ok(engine) => self.sched.admit(record, engine),
+                Err(msg) => self.sched.retire(record, Outcome::Failed(msg)),
+            }
+        }
+    }
+
+    /// Takes out the task that just suspended, serialized for a move to
+    /// worker `to`. `None` when it refuses to serialize: it stays here.
+    pub fn evict_last(&mut self, to: usize) -> Option<Packet> {
+        let task = self.sched.pop_last()?;
+        match Packet::pack(task) {
+            Ok(pkt) => {
+                let args = vec![
+                    ("task", pkt.record.id.to_string()),
+                    ("to", to.to_string()),
+                    ("suspension", pkt.record.slices.to_string()),
+                    (
+                        "bytes",
+                        pkt.snapshot.as_ref().map_or(0, Vec::len).to_string(),
+                    ),
+                ];
+                self.sched.span(&pkt.record.name, "migrate", None, args);
+                Some(pkt)
+            }
+            Err((task, _)) => {
+                self.sched.requeue(task);
+                None
+            }
+        }
+    }
+
+    /// Takes out every task this worker holds (it is being killed); one
+    /// that refuses to serialize fails here.
+    pub fn evict_all(&mut self) -> Vec<Packet> {
+        let mut out = Vec::new();
+        for task in self.sched.drain() {
+            match Packet::pack(task) {
+                Ok(pkt) => out.push(pkt),
+                Err((task, e)) => {
+                    let msg = format!("worker killed; snapshot failed: {e}");
+                    self.sched.retire(task.record, Outcome::Failed(msg));
+                }
+            }
+        }
+        out
+    }
+
+    /// The worker's summary. After a panic, every task it still held
+    /// fails: its engine is gone.
+    pub fn finish(mut self, panicked: Option<String>) -> WorkerSummary {
+        if let Some(msg) = &panicked {
+            for record in self.sched.held() {
+                let outcome = Outcome::Failed(format!("worker panicked: {msg}"));
+                self.sched.retire(record, outcome);
+            }
+        }
+        let steps = self.sched.steps_executed;
+        let args = vec![("steps", steps.to_string())];
+        let name = format!("worker-{}", self.w);
+        self.sched.span(&name, "worker", Some(self.epoch), args);
+        WorkerSummary {
+            worker: self.w,
+            reports: self.sched.reports,
+            mismatches: self.sched.mismatches,
+            wall: self.epoch.elapsed(),
+            spans: self.sched.spans.into_spans(),
+            steps_executed: steps,
+            panicked,
+        }
     }
 }
 
@@ -346,11 +397,7 @@ fn panicked_summary(
 /// whole batch, carrying the latency percentiles (p50/p95/p99), Jain
 /// fairness, and migration counters as args — the numbers `cm-trace`
 /// surfaces on the exported timeline.
-pub(crate) fn pool_metrics_spans(
-    workers: usize,
-    metrics: &SchedMetrics,
-    enabled: bool,
-) -> Vec<Span> {
+fn pool_metrics_spans(workers: usize, metrics: &SchedMetrics, enabled: bool) -> Vec<Span> {
     if !enabled {
         return Vec::new();
     }
@@ -374,59 +421,34 @@ pub(crate) fn pool_metrics_spans(
     }]
 }
 
-/// Runs a batch of jobs over `config.workers` threads and gathers the
-/// combined report. Worker panics are caught and surfaced in the
-/// summary, never propagated.
+/// Runs a batch of jobs and gathers the combined report. Worker panics
+/// are caught and surfaced in the summary, never propagated.
 ///
-/// With [`PoolConfig::steal`] set this dispatches to the work-stealing
-/// pool (multithreaded, or the deterministic replay simulator when
-/// [`StealConfig::replay`] is set); otherwise the static sharded pool
-/// runs below.
+/// With [`PoolConfig::steal`] set the workers steal and donate
+/// (multithreaded), or replay a schedule in the deterministic
+/// single-threaded simulator when [`StealConfig::replay`] or
+/// [`StealConfig::kill_workers`] is set.
 pub fn run_pool(config: &PoolConfig, spec: &PoolSpec) -> PoolReport {
-    if let Some(sc) = &config.steal {
-        return if sc.replay.is_some() || !sc.kill_workers.is_empty() {
-            steal::run_pool_replay(config, spec, sc)
-        } else {
-            steal::run_pool_stealing(config, spec, sc)
-        };
-    }
-    let workers = config.workers.max(1);
-    let mut shards: Vec<Vec<(usize, JobSpec)>> = (0..workers).map(|_| Vec::new()).collect();
+    let replay = config
+        .steal
+        .as_ref()
+        .filter(|sc| sc.replay.is_some() || !sc.kill_workers.is_empty());
+    let workers = match replay.and_then(|sc| sc.replay.as_ref()) {
+        Some(schedule) if schedule.workers > 0 => schedule.workers,
+        _ => config.workers.max(1),
+    };
+    // The pool accepts every job now: turnaround and deadlines count
+    // from here, queue wait included.
+    let epoch = Instant::now();
+    let mut inboxes: Vec<VecDeque<Packet>> = (0..workers).map(|_| VecDeque::new()).collect();
     for (id, job) in spec.jobs.iter().enumerate() {
-        shards[id % workers].push((id, job.clone()));
+        inboxes[id % workers].push_back(Packet::fresh(id, job, epoch));
     }
-    let start = Instant::now();
-    let mut summaries: Vec<WorkerSummary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                scope.spawn(move || {
-                    let manifest: Vec<(usize, String)> = shard
-                        .iter()
-                        .map(|(id, job)| (*id, job.name.clone()))
-                        .collect();
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(w, config, spec, shard, start)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        panicked_summary(w, manifest, msg, start)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("panic already caught"))
-            .collect()
-    });
-    summaries.sort_by_key(|s| s.worker);
-    let wall = start.elapsed();
+    let (summaries, schedule) = match replay {
+        Some(sc) => steal::run_replay(config, spec, sc, inboxes, epoch),
+        None => steal::run_threads(config, spec, inboxes, epoch),
+    };
+    let wall = epoch.elapsed();
     let all: Vec<TaskReport> = summaries
         .iter()
         .flat_map(|s| s.reports.iter().cloned())
@@ -437,7 +459,7 @@ pub fn run_pool(config: &PoolConfig, spec: &PoolSpec) -> PoolReport {
         metrics,
         workers: summaries,
         wall,
-        schedule: None,
+        schedule,
         pool_spans,
     }
 }
@@ -521,17 +543,28 @@ mod tests {
         assert_eq!(spans.iter().filter(|s| s.cat == "pool").count(), 1);
     }
 
+    /// A worker that held tasks 3 and 7 when it panicked, in a pool that
+    /// started 40 ms ago.
+    fn panicked_summary() -> WorkerSummary {
+        let epoch = Instant::now() - Duration::from_millis(40);
+        let config = PoolConfig::default();
+        let spec = spin_spec(8);
+        let mut worker = Worker::new(1, &config, &spec, epoch);
+        let mut inbox: VecDeque<Packet> = [3, 7]
+            .into_iter()
+            .map(|id| Packet::fresh(id, &spec.jobs[id], epoch))
+            .collect();
+        worker.admit(|| inbox.pop_front());
+        worker.finish(Some("boom".into()))
+    }
+
     #[test]
     fn panicked_worker_fails_every_queued_task() {
-        let epoch = Instant::now() - Duration::from_millis(40);
-        let manifest = vec![(3, "a".to_string()), (7, "b".to_string())];
-        let summary = panicked_summary(1, manifest, "boom".into(), epoch);
+        let summary = panicked_summary();
         assert_eq!(summary.panicked.as_deref(), Some("boom"));
-        assert_eq!(summary.reports.len(), 2);
-        assert_eq!(
-            summary.reports.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![3, 7]
-        );
+        let mut ids: Vec<usize> = summary.reports.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![3, 7]);
         assert!(summary.reports.iter().all(|r| matches!(
             &r.outcome,
             Outcome::Failed(msg) if msg == "worker panicked: boom"
@@ -554,21 +587,20 @@ mod tests {
         // zero turnarounds, dragging the batch's latency percentiles
         // toward zero. The crash must be charged the time it actually
         // consumed (pool epoch → panic).
-        let epoch = Instant::now() - Duration::from_millis(25);
-        let summary = panicked_summary(0, vec![(0, "t".into())], "boom".into(), epoch);
+        let summary = panicked_summary();
         assert!(
-            summary.wall >= Duration::from_millis(25),
+            summary.wall >= Duration::from_millis(40),
             "{:?}",
             summary.wall
         );
         assert!(summary
             .reports
             .iter()
-            .all(|r| r.turnaround >= Duration::from_millis(25)));
+            .all(|r| r.turnaround >= Duration::from_millis(40)));
         // And the aggregate percentiles see the real latency, not zero.
         let metrics = SchedMetrics::from_reports(&summary.reports, summary.wall);
-        assert!(metrics.latency_p50 >= Duration::from_millis(25));
-        assert!(metrics.latency_p99 >= Duration::from_millis(25));
+        assert!(metrics.latency_p50 >= Duration::from_millis(40));
+        assert!(metrics.latency_p99 >= Duration::from_millis(40));
     }
 
     #[test]

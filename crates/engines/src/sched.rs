@@ -1,8 +1,11 @@
-//! A single-threaded, multi-tenant scheduler over suspendable engines.
+//! The slice loop: a single-threaded, multi-tenant scheduler over
+//! suspendable engines.
 //!
-//! One scheduler owns one queue of [`Engine`]s (all sharing one worker's
-//! `Globals`, hence pinned to one thread) and interleaves them in fuel
-//! slices. Two policies:
+//! One scheduler owns the live [`Engine`]s of one worker (all sharing
+//! that worker's `Globals`, hence pinned to one thread) and interleaves
+//! them in fuel slices. It is the only place an engine runs a slice:
+//! every pool mode — static sharding, the stealing pool, the replay
+//! simulator — drives its workers through a [`Scheduler`]. Two policies:
 //!
 //! * [`Policy::RoundRobin`] — FIFO; every runnable task gets one slice per
 //!   turn of the queue.
@@ -12,7 +15,9 @@
 //!
 //! Per-task timeouts reuse [`MachineConfig::deadline`]: the engine's
 //! machine enforces the wall-clock cutoff *inside* long slices, and the
-//! scheduler enforces it *between* slices (queue wait counts), so a slice
+//! scheduler enforces it *between* slices, counted from when the task
+//! was accepted (queue wait counts; in a pool that is the pool's start,
+//! so worker setup and verification baselines count too), and a slice
 //! smaller than the machine's deadline-poll stride still times out.
 //!
 //! # Supervision
@@ -28,13 +33,7 @@
 //! (recovery is isolated: post-checkpoint global writes are rolled
 //! back), and its deadline clock restarts with the attempt. Tasks that
 //! fault before their first checkpoint, or exhaust the budget, retire
-//! with the original outcome.
-//!
-//! [`SchedConfig::pool_budget_bytes`] adds admission control on top:
-//! while the aggregate live heap bytes of checkpointed tasks exceeds the
-//! budget, the scheduler prefers draining already-started tasks over
-//! admitting fresh ones (backpressure), falling back to fresh tasks only
-//! when nothing started is runnable.
+//! with the original outcome. A report sums every attempt's counters.
 //!
 //! [`MachineConfig::deadline`]: cm_vm::MachineConfig
 //! [`VmErrorKind::HeapLimitExceeded`]: cm_vm::VmErrorKind
@@ -42,7 +41,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use cm_vm::VmErrorKind;
+use cm_vm::{MachineStats, VmErrorKind};
 
 use crate::engine::{Engine, RunResult};
 use crate::spans::SpanLog;
@@ -77,9 +76,10 @@ pub struct SchedConfig {
     /// Verify machine invariants at every suspension (slow; tests and
     /// torture runs).
     pub check_invariants: bool,
-    /// Record a `"slice"` span per scheduler pick into
-    /// [`Scheduler::spans`] (the timeline `cm-trace` exports). Off by
-    /// default: a disabled scheduler takes no clock reads for spans.
+    /// Record a `"slice"` span per scheduler pick (and, in a pool,
+    /// `"steal"` / `"migrate"` / `"worker"` / `"pool"` spans) for the
+    /// timeline `cm-trace` exports. Off by default: a disabled scheduler
+    /// takes no clock reads for spans.
     pub record_spans: bool,
     /// Snapshot every task at every suspension and supervise it:
     /// faulting tasks restart from their last checkpoint (see the
@@ -89,13 +89,13 @@ pub struct SchedConfig {
     /// Maximum automatic restarts per task (only with `checkpoint`).
     pub retry_budget: u32,
     /// Backoff before the first restart, in scheduler ticks (one tick
-    /// per [`Scheduler::step`]); doubles with each further retry of the
-    /// same task. `0` restarts immediately.
+    /// per slice picked); doubles with each further retry of the same
+    /// task. `0` restarts immediately.
     pub backoff_base: u64,
-    /// Admission-control budget: while the aggregate
-    /// [`MachineStats::bytes_live`](cm_vm::MachineStats) of checkpointed
-    /// suspended tasks exceeds this, prefer already-started tasks over
-    /// fresh ones. `None` disables backpressure.
+    /// Admission-control budget for pool workers: while the worker
+    /// thread's live heap ([`cm_vm::heap_stats`]) exceeds this many
+    /// bytes, the worker admits nothing more from its inbox, though one
+    /// task always stays live. `None` disables backpressure.
     pub pool_budget_bytes: Option<u64>,
 }
 
@@ -130,7 +130,8 @@ pub enum Outcome {
 /// Per-task accounting, produced when the task leaves the scheduler.
 #[derive(Debug, Clone)]
 pub struct TaskReport {
-    /// Submission-order id, unique within one scheduler.
+    /// Submission-order id, unique within one scheduler (a pool's job
+    /// index).
     pub id: usize,
     /// Caller-supplied label.
     pub name: String,
@@ -138,22 +139,20 @@ pub struct TaskReport {
     pub outcome: Outcome,
     /// Slices consumed (a completed task's final partial slice counts).
     pub slices: u64,
-    /// Instructions executed ([`MachineStats::steps_executed`]) — the
-    /// fairness measure.
-    ///
-    /// [`MachineStats::steps_executed`]: cm_vm::MachineStats
+    /// Instructions executed ([`MachineStats::steps_executed`]) over
+    /// every attempt and hop — the fairness measure.
     pub steps: u64,
     /// Heap objects the tenant allocated
-    /// ([`MachineStats::allocations`](cm_vm::MachineStats)).
+    /// ([`MachineStats::allocations`]).
     pub allocations: u64,
-    /// Heap collections the tenant's machine ran
-    /// ([`MachineStats::collections`](cm_vm::MachineStats)).
+    /// Heap collections the tenant's machines ran
+    /// ([`MachineStats::collections`]).
     pub collections: u64,
     /// High-water mark of the tenant's live heap bytes, as measured at
-    /// its collections ([`MachineStats::bytes_live_peak`](cm_vm::MachineStats));
-    /// `0` when the task never collected.
+    /// its collections ([`MachineStats::bytes_live_peak`]); `0` when the
+    /// task never collected.
     pub bytes_live_peak: u64,
-    /// Submit-to-finish wall time (queue wait included).
+    /// Accept-to-finish wall time (queue wait included).
     pub turnaround: Duration,
     /// Supervised restarts this task consumed (`0` without
     /// [`SchedConfig::checkpoint`] or when it never faulted).
@@ -163,8 +162,7 @@ pub struct TaskReport {
     pub checkpoints: u64,
     /// Cross-worker moves of this task's *suspended* state — each one a
     /// serialize-on-victim / restore-on-thief round trip through
-    /// [`Engine::snapshot`](crate::Engine::snapshot). Always `0` outside
-    /// the work-stealing pool.
+    /// [`Engine::snapshot`]. Always `0` outside the work-stealing pool.
     pub migrations: u32,
     /// Times this task was taken by a worker other than the one holding
     /// it — fresh-job steals included, so every migration is also a
@@ -172,93 +170,168 @@ pub struct TaskReport {
     pub steals: u32,
 }
 
-struct Task {
-    id: usize,
-    name: String,
-    // Always `Some` while queued; taken only for the duration of a slice
-    // (`Engine::run` consumes the engine and returns its successor).
-    engine: Option<Engine>,
-    submitted_at: Instant,
-    deadline_at: Option<Instant>,
-    slices: u64,
-    // Last durable checkpoint (serialized engine), when supervising.
-    checkpoint: Option<Vec<u8>>,
-    checkpoints: u64,
-    retries: u32,
-    // Live heap bytes at the last suspension — the admission-control
-    // gauge. Zero until the task first checkpoints.
-    bytes_live: u64,
+/// One task's record: identity, expectation and accounting. It outlives
+/// any one engine — a restored engine (supervised restart, migration
+/// hop) counts from zero, so each finished machine epoch is folded in
+/// here — and it travels with the task between workers.
+#[derive(Debug, Clone)]
+pub(crate) struct Record {
+    pub id: usize,
+    pub name: String,
+    /// Entry source: a task that never ran is re-spawned from it.
+    pub run: String,
+    /// The uninterrupted result, when known; a mismatch is reported.
+    pub expected: Option<String>,
+    /// When the task was accepted; turnaround and deadline count from it.
+    pub accepted: Instant,
+    pub deadline_at: Option<Instant>,
+    pub slices: u64,
+    pub steps: u64,
+    pub allocations: u64,
+    pub collections: u64,
+    pub bytes_live_peak: u64,
+    pub migrations: u32,
+    pub steals: u32,
+    pub retries: u32,
+    pub checkpoints: u64,
+    /// Last durable checkpoint (serialized engine), when supervising.
+    pub checkpoint: Option<Vec<u8>>,
 }
 
-/// The scheduler: a set of tasks and a runnable queue.
+impl Record {
+    pub fn new(id: usize, name: String, accepted: Instant) -> Record {
+        Record {
+            id,
+            name,
+            run: String::new(),
+            expected: None,
+            accepted,
+            deadline_at: None,
+            slices: 0,
+            steps: 0,
+            allocations: 0,
+            collections: 0,
+            bytes_live_peak: 0,
+            migrations: 0,
+            steals: 0,
+            retries: 0,
+            checkpoints: 0,
+            checkpoint: None,
+        }
+    }
+
+    /// Folds one machine epoch's counters in (at every restart, hop and
+    /// retirement).
+    pub fn absorb(&mut self, stats: &MachineStats) {
+        self.steps += stats.steps_executed;
+        self.allocations += stats.allocations;
+        self.collections += stats.collections;
+        self.bytes_live_peak = self.bytes_live_peak.max(stats.bytes_live_peak);
+    }
+
+    /// The task's report: the one place a [`TaskReport`] is built.
+    pub fn report(self, outcome: Outcome) -> TaskReport {
+        TaskReport {
+            id: self.id,
+            name: self.name,
+            outcome,
+            slices: self.slices,
+            steps: self.steps,
+            allocations: self.allocations,
+            collections: self.collections,
+            bytes_live_peak: self.bytes_live_peak,
+            turnaround: self.accepted.elapsed(),
+            retries: self.retries,
+            checkpoints: self.checkpoints,
+            migrations: self.migrations,
+            steals: self.steals,
+        }
+    }
+}
+
+/// A live task: its record plus the engine holding its state.
+pub(crate) struct Task {
+    pub record: Record,
+    pub engine: Engine,
+}
+
+/// What one [`Scheduler::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Nothing was runnable.
+    Idle,
+    /// A task ran (or timed out before running) and left the queue or
+    /// went back to it without suspending anew.
+    Ran,
+    /// Task `.0` suspended after its `.1`-th slice; it is the last task
+    /// in the queue ([`Scheduler::pop_last`]).
+    Suspended(usize, u64),
+}
+
+/// The scheduler: a runnable queue, faulted tasks in backoff, and the
+/// reports of retired ones.
 pub struct Scheduler {
     config: SchedConfig,
-    tasks: Vec<Option<Task>>,
-    runnable: VecDeque<usize>,
-    // Faulted tasks waiting out their backoff: `(task id, tick at which
-    // it becomes runnable again)`.
-    parked: Vec<(usize, u64)>,
+    runnable: VecDeque<Task>,
+    // Faulted tasks waiting out their backoff, with the tick at which
+    // each becomes runnable again.
+    parked: Vec<(u64, Task)>,
+    // The record of the task whose slice is running, so a worker that
+    // panics mid-slice still knows every task it held.
+    running: Option<Record>,
     tick: u64,
-    reports: Vec<TaskReport>,
-    spans: SpanLog,
-    /// Timeline lane for recorded spans (the pool sets this to the
-    /// worker index).
+    submitted: usize,
+    pub(crate) reports: Vec<TaskReport>,
+    pub(crate) mismatches: Vec<String>,
+    pub(crate) spans: SpanLog,
+    /// Instructions run across every slice, whichever task they served.
+    pub(crate) steps_executed: u64,
+    // Timeline lane for recorded spans (a pool worker's index).
     tid: u32,
 }
 
 impl Scheduler {
     /// Creates an empty scheduler.
     pub fn new(config: SchedConfig) -> Scheduler {
+        Scheduler::for_worker(config, Instant::now(), 0)
+    }
+
+    /// A pool worker's scheduler: spans share the pool's origin and sit
+    /// in the worker's lane.
+    pub(crate) fn for_worker(config: SchedConfig, origin: Instant, tid: u32) -> Scheduler {
         Scheduler {
             config,
-            tasks: Vec::new(),
             runnable: VecDeque::new(),
             parked: Vec::new(),
+            running: None,
             tick: 0,
+            submitted: 0,
             reports: Vec::new(),
-            spans: SpanLog::new(),
-            tid: 0,
+            mismatches: Vec::new(),
+            spans: SpanLog::with_origin(origin),
+            steps_executed: 0,
+            tid,
         }
-    }
-
-    /// Replaces the span log (pool workers install one sharing the
-    /// pool's origin) and sets the timeline lane for recorded spans.
-    pub fn set_span_log(&mut self, log: SpanLog, tid: u32) {
-        self.spans = log;
-        self.tid = tid;
-    }
-
-    /// The per-slice spans recorded so far (empty unless
-    /// [`SchedConfig::record_spans`]).
-    pub fn spans(&self) -> &SpanLog {
-        &self.spans
-    }
-
-    /// Takes the recorded spans out of the scheduler.
-    pub fn take_spans(&mut self) -> SpanLog {
-        std::mem::take(&mut self.spans)
     }
 
     /// Submits an engine under a display name; returns its task id. The
     /// deadline clock (if the engine has one) starts now.
     pub fn submit(&mut self, name: impl Into<String>, engine: Engine) -> usize {
-        let id = self.tasks.len();
-        let now = Instant::now();
-        let deadline_at = engine.deadline().and_then(|d| now.checked_add(d));
-        self.tasks.push(Some(Task {
-            id,
-            name: name.into(),
-            engine: Some(engine),
-            submitted_at: now,
-            deadline_at,
-            slices: 0,
-            checkpoint: None,
-            checkpoints: 0,
-            retries: 0,
-            bytes_live: 0,
-        }));
-        self.runnable.push_back(id);
+        let id = self.submitted;
+        self.admit(Record::new(id, name.into(), Instant::now()), engine);
         id
+    }
+
+    /// Queues a task under its record — fresh, or carrying accounting
+    /// from earlier attempts and workers.
+    pub(crate) fn admit(&mut self, mut record: Record, engine: Engine) {
+        self.submitted += 1;
+        if record.deadline_at.is_none() {
+            record.deadline_at = engine
+                .deadline()
+                .and_then(|d| record.accepted.checked_add(d));
+        }
+        self.runnable.push_back(Task { record, engine });
     }
 
     /// Tasks still queued, suspended, or parked in backoff.
@@ -266,10 +339,44 @@ impl Scheduler {
         self.runnable.len() + self.parked.len()
     }
 
-    /// Aggregate live heap bytes across every task still in the
-    /// scheduler, as measured at each task's last checkpoint.
-    pub fn bytes_live(&self) -> u64 {
-        self.tasks.iter().flatten().map(|t| t.bytes_live).sum()
+    /// Takes out the task that the last [`Step::Suspended`] put back.
+    pub(crate) fn pop_last(&mut self) -> Option<Task> {
+        self.runnable.pop_back()
+    }
+
+    /// Puts a task back at the end of the queue.
+    pub(crate) fn requeue(&mut self, task: Task) {
+        self.runnable.push_back(task);
+    }
+
+    /// Takes out every task still held, runnable or parked.
+    pub(crate) fn drain(&mut self) -> Vec<Task> {
+        let parked = self.parked.drain(..).map(|(_, task)| task);
+        self.runnable.drain(..).chain(parked).collect()
+    }
+
+    /// The records of every task held, the running one included.
+    pub(crate) fn held(&mut self) -> Vec<Record> {
+        let mut held: Vec<Record> = self.running.take().into_iter().collect();
+        held.extend(self.drain().into_iter().map(|t| t.record));
+        held
+    }
+
+    /// Records a span in this scheduler's lane, from `start` (`None`: a
+    /// zero-length mark) to now — when recording spans at all. Pool
+    /// workers use it for their moves and their whole run.
+    pub(crate) fn span(
+        &mut self,
+        name: &str,
+        cat: &'static str,
+        start: Option<Instant>,
+        args: Vec<(&'static str, String)>,
+    ) {
+        if self.config.record_spans {
+            let now = Instant::now();
+            let start = start.unwrap_or(now);
+            self.spans.record(name, cat, self.tid, start, now, args);
+        }
     }
 
     /// Moves parked tasks whose backoff has elapsed back to the runnable
@@ -277,113 +384,72 @@ impl Scheduler {
     /// fast-forwards the tick to the earliest release.
     fn unpark_due(&mut self) {
         if self.runnable.is_empty() {
-            if let Some(&(_, next)) = self.parked.iter().min_by_key(|&&(_, at)| at) {
+            if let Some(next) = self.parked.iter().map(|&(at, _)| at).min() {
                 self.tick = self.tick.max(next);
             }
         }
-        let tick = self.tick;
         let mut i = 0;
         while i < self.parked.len() {
-            if self.parked[i].1 <= tick {
-                let (id, _) = self.parked.swap_remove(i);
-                self.runnable.push_back(id);
+            if self.parked[i].0 <= self.tick {
+                let (_, task) = self.parked.swap_remove(i);
+                self.runnable.push_back(task);
             } else {
                 i += 1;
             }
         }
     }
 
-    fn pick(&mut self) -> Option<usize> {
-        // Backpressure: over budget, started tasks (which can shrink the
-        // pool by finishing) outrank fresh admissions — unless only
-        // fresh tasks are runnable, to avoid stalling the queue.
-        let over_budget = self
-            .config
-            .pool_budget_bytes
-            .is_some_and(|budget| self.bytes_live() > budget);
-        let admissible = |t: &Task| !over_budget || t.slices > 0;
-        let any_started = self
-            .runnable
-            .iter()
-            .any(|&id| self.tasks[id].as_ref().is_some_and(|t| t.slices > 0));
+    fn pick(&self) -> Option<usize> {
         match self.config.policy {
-            Policy::RoundRobin => {
-                if over_budget && any_started {
-                    let pos = self
-                        .runnable
-                        .iter()
-                        .position(|&id| self.tasks[id].as_ref().is_some_and(admissible))?;
-                    self.runnable.remove(pos)
-                } else {
-                    self.runnable.pop_front()
-                }
-            }
-            Policy::EarliestDeadlineFirst => {
-                let best = self
-                    .runnable
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &id)| {
-                        !(over_budget && any_started)
-                            || self.tasks[id].as_ref().is_some_and(admissible)
-                    })
-                    .min_by_key(|(_, &id)| {
-                        let t = self.tasks[id].as_ref().expect("runnable task exists");
-                        // None sorts after every Some; FIFO among ties.
-                        (t.deadline_at.is_none(), t.deadline_at, t.id)
-                    })
-                    .map(|(pos, _)| pos)?;
-                self.runnable.remove(best)
-            }
+            Policy::RoundRobin => (!self.runnable.is_empty()).then_some(0),
+            Policy::EarliestDeadlineFirst => self
+                .runnable
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, t)| {
+                    let r = &t.record;
+                    // None sorts after every Some; FIFO among ties.
+                    (r.deadline_at.is_none(), r.deadline_at, r.id)
+                })
+                .map(|(pos, _)| pos),
         }
     }
 
-    fn retire(&mut self, task: Task, outcome: Outcome, stats: &cm_vm::MachineStats) {
-        self.reports.push(TaskReport {
-            id: task.id,
-            name: task.name,
-            outcome,
-            slices: task.slices,
-            steps: stats.steps_executed,
-            allocations: stats.allocations,
-            collections: stats.collections,
-            bytes_live_peak: stats.bytes_live_peak,
-            turnaround: task.submitted_at.elapsed(),
-            retries: task.retries,
-            checkpoints: task.checkpoints,
-            migrations: 0,
-            steals: 0,
-        });
+    /// Retires a task whose counters are all folded in, checking a
+    /// completed result against its expectation.
+    pub(crate) fn retire(&mut self, record: Record, outcome: Outcome) {
+        if let (Outcome::Completed(got), Some(want)) = (&outcome, &record.expected) {
+            if got != want {
+                self.mismatches.push(format!(
+                    "{}: sliced run produced {got}, uninterrupted run produced {want}",
+                    record.name
+                ));
+            }
+        }
+        self.reports.push(record.report(outcome));
     }
 
     /// Handles a faulted task: restart from its last checkpoint with
     /// exponential backoff while budget remains, else retire it with the
     /// faulting outcome.
-    fn fault(&mut self, mut task: Task, outcome: Outcome, stats: &cm_vm::MachineStats) {
-        let can_restart = self.config.checkpoint
-            && task.retries < self.config.retry_budget
-            && task.checkpoint.is_some();
-        if !can_restart {
-            self.retire(task, outcome, stats);
-            return;
-        }
-        let bytes = task.checkpoint.as_deref().expect("checked above");
+    fn fault(&mut self, mut record: Record, outcome: Outcome) {
+        let can_restart = self.config.checkpoint && record.retries < self.config.retry_budget;
+        let Some(bytes) = record.checkpoint.as_deref().filter(|_| can_restart) else {
+            return self.retire(record, outcome);
+        };
         match Engine::restore(bytes) {
             Ok(engine) => {
-                task.retries += 1;
+                record.retries += 1;
                 // The attempt's deadline clock restarts with the attempt.
-                task.deadline_at = engine
+                record.deadline_at = engine
                     .deadline()
                     .and_then(|d| Instant::now().checked_add(d));
                 let backoff = self
                     .config
                     .backoff_base
-                    .saturating_mul(1u64 << (task.retries - 1).min(62));
+                    .saturating_mul(1u64 << (record.retries - 1).min(62));
                 let release = self.tick.saturating_add(backoff);
-                task.engine = Some(engine);
-                let id = task.id;
-                self.tasks[id] = Some(task);
-                self.parked.push((id, release));
+                self.parked.push((release, Task { record, engine }));
             }
             Err(e) => {
                 // A checkpoint that no longer restores is itself a fault;
@@ -392,120 +458,106 @@ impl Scheduler {
                     Outcome::Failed(msg) | Outcome::Completed(msg) => msg,
                     Outcome::TimedOut => "deadline exceeded".into(),
                 };
-                self.retire(
-                    task,
-                    Outcome::Failed(format!("{orig}; checkpoint restore failed: {e}")),
-                    stats,
-                );
+                let msg = format!("{orig}; checkpoint restore failed: {e}");
+                self.retire(record, Outcome::Failed(msg));
             }
         }
     }
 
-    /// Runs one slice of one task. Returns `false` when no task is
-    /// runnable (parked tasks count as runnable: their backoff is
-    /// fast-forwarded rather than busy-waited).
-    pub fn step(&mut self) -> bool {
+    /// Runs one slice of one task — the only place an engine runs.
+    pub(crate) fn step(&mut self) -> Step {
         self.tick = self.tick.saturating_add(1);
         self.unpark_due();
-        let Some(id) = self.pick() else { return false };
-        let mut task = self.tasks[id].take().expect("picked task exists");
-        let engine = task.engine.take().expect("queued task holds its engine");
-        if let Some(at) = task.deadline_at {
-            if Instant::now() >= at {
-                let stats = engine.stats();
-                self.fault(task, Outcome::TimedOut, &stats);
-                return true;
-            }
-        }
-        task.slices += 1;
-        let span_start = if self.config.record_spans {
-            Some((Instant::now(), engine.stats().steps_executed))
-        } else {
-            None
+        let Some(pos) = self.pick() else {
+            return Step::Idle;
         };
+        let Task { mut record, engine } = self.runnable.remove(pos).expect("picked task");
+        if record.deadline_at.is_some_and(|at| Instant::now() >= at) {
+            record.absorb(&engine.stats());
+            self.fault(record, Outcome::TimedOut);
+            return Step::Ran;
+        }
+        record.slices += 1;
+        let steps_before = engine.stats().steps_executed;
+        let span_start = self.config.record_spans.then(Instant::now);
+        self.running = Some(record);
         let result = engine.run(self.config.slice);
-        if let Some((start, steps_before)) = span_start {
-            let (outcome, stats) = match &result {
-                RunResult::Done(_, s) => ("done", s),
-                RunResult::Suspended(_, s) => ("suspended", s),
-                RunResult::Failed(_, s) => ("failed", s),
-            };
-            self.spans.record(
-                task.name.clone(),
-                "slice",
-                self.tid,
-                start,
-                Instant::now(),
-                vec![
-                    ("task", task.id.to_string()),
-                    ("slice", task.slices.to_string()),
-                    ("steps", (stats.steps_executed - steps_before).to_string()),
-                    ("outcome", outcome.to_string()),
-                ],
-            );
+        let slice_span = span_start.map(|start| (start, Instant::now()));
+        let mut record = self.running.take().expect("set before the slice");
+        let (outcome, stats) = match &result {
+            RunResult::Done(_, s) => ("done", *s),
+            RunResult::Suspended(_, s) => ("suspended", *s),
+            RunResult::Failed(_, s) => ("failed", *s),
+        };
+        let steps = stats.steps_executed - steps_before;
+        self.steps_executed += steps;
+        if let Some((start, end)) = slice_span {
+            let args = vec![
+                ("task", record.id.to_string()),
+                ("slice", record.slices.to_string()),
+                ("steps", steps.to_string()),
+                ("outcome", outcome.to_string()),
+            ];
+            let name = record.name.clone();
+            self.spans.record(name, "slice", self.tid, start, end, args);
         }
         match result {
-            RunResult::Done(v, stats) => {
-                self.retire(task, Outcome::Completed(v.write_string()), &stats);
+            RunResult::Done(v, _) => {
+                record.absorb(&stats);
+                self.retire(record, Outcome::Completed(v.write_string()));
             }
-            RunResult::Suspended(mut engine, stats) => {
-                if self.config.check_invariants {
-                    if let Err(msg) = engine.check_invariants() {
-                        self.retire(
-                            task,
-                            Outcome::Failed(format!("invariant violated: {msg}")),
-                            &stats,
-                        );
-                        return true;
-                    }
-                }
-                if self.config.checkpoint {
-                    match engine.snapshot() {
-                        Ok(bytes) => {
-                            task.checkpoint = Some(bytes);
-                            task.checkpoints += 1;
-                            task.bytes_live = stats.bytes_live;
-                        }
-                        Err(e) => {
-                            // A task whose state cannot checkpoint is not
-                            // supervisable; fail it rather than silently
-                            // running without crash coverage.
-                            self.retire(
-                                task,
-                                Outcome::Failed(format!("checkpoint failed: {e}")),
-                                &stats,
-                            );
-                            return true;
-                        }
-                    }
-                }
-                task.engine = Some(engine);
-                self.tasks[id] = Some(task);
-                self.runnable.push_back(id);
-            }
-            RunResult::Failed(e, stats) => {
+            RunResult::Failed(e, _) => {
+                record.absorb(&stats);
                 let outcome = if e.kind == VmErrorKind::DeadlineExceeded {
                     Outcome::TimedOut
                 } else {
                     Outcome::Failed(e.to_string())
                 };
-                self.fault(task, outcome, &stats);
+                self.fault(record, outcome);
+            }
+            RunResult::Suspended(mut engine, _) => {
+                let mut refused = None;
+                if self.config.check_invariants {
+                    refused = engine
+                        .check_invariants()
+                        .err()
+                        .map(|msg| format!("invariant violated: {msg}"));
+                }
+                if self.config.checkpoint && refused.is_none() {
+                    match engine.snapshot() {
+                        Ok(bytes) => {
+                            record.checkpoint = Some(bytes);
+                            record.checkpoints += 1;
+                        }
+                        // A task whose state cannot checkpoint is not
+                        // supervisable; fail it rather than silently
+                        // running without crash coverage.
+                        Err(e) => refused = Some(format!("checkpoint failed: {e}")),
+                    }
+                }
+                if let Some(msg) = refused {
+                    record.absorb(&stats);
+                    self.retire(record, Outcome::Failed(msg));
+                    return Step::Ran;
+                }
+                let (id, slices) = (record.id, record.slices);
+                self.runnable.push_back(Task { record, engine });
+                return Step::Suspended(id, slices);
             }
         }
-        true
+        Step::Ran
     }
 
     /// Runs until every task has retired; returns the per-task reports in
     /// retirement order.
-    pub fn run_all(mut self) -> Vec<TaskReport> {
-        while self.step() {}
-        self.reports
+    pub fn run_all(self) -> Vec<TaskReport> {
+        self.run_all_traced().0
     }
 
     /// Like [`Scheduler::run_all`], but also returns the recorded
     /// per-slice spans (empty unless [`SchedConfig::record_spans`]).
     pub fn run_all_traced(mut self) -> (Vec<TaskReport>, SpanLog) {
-        while self.step() {}
+        while self.step() != Step::Idle {}
         (self.reports, self.spans)
     }
 }
@@ -514,7 +566,7 @@ impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("policy", &self.config.policy)
-            .field("pending", &self.runnable.len())
+            .field("pending", &self.pending())
             .field("retired", &self.reports.len())
             .finish()
     }
@@ -614,13 +666,7 @@ impl SchedMetrics {
         } else {
             lat.iter().sum::<Duration>() / lat.len() as u32
         };
-        let sum: f64 = reports.iter().map(|r| r.steps as f64).sum();
-        let sum_sq: f64 = reports.iter().map(|r| (r.steps as f64).powi(2)).sum();
-        let fairness_jain = if tasks == 0 || sum_sq == 0.0 {
-            1.0
-        } else {
-            sum * sum / (tasks as f64 * sum_sq)
-        };
+        let fairness_jain = jain_index(reports.iter().map(|r| r.steps as f64));
         SchedMetrics {
             tasks,
             completed,
@@ -727,22 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_times_out_between_slices() {
-        let mut cfg = EngineConfig::default();
-        cfg.machine.deadline = Some(Duration::from_millis(1));
-        let mut host = WorkerHost::new(cfg);
-        host.load("(define (loop) (loop))").unwrap();
-        let mut sched = Scheduler::new(SchedConfig {
-            slice: 500,
-            ..Default::default()
-        });
-        sched.submit("hog", host.spawn("(loop)").unwrap());
-        let reports = sched.run_all();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].outcome, Outcome::TimedOut);
-    }
-
-    #[test]
     fn slice_spans_cover_every_pick() {
         let mut host = spinner_host();
         let mut sched = Scheduler::new(SchedConfig {
@@ -831,6 +861,14 @@ mod tests {
         // the last suspension with a fresh clock, so progress accumulates
         // until the task completes. This is the crash-recovery payoff —
         // without checkpointing the same config retires `TimedOut`.
+        let uninterrupted = match spinner_host()
+            .spawn("(spin 2000000)")
+            .unwrap()
+            .run(u64::MAX)
+        {
+            RunResult::Done(_, stats) => stats.steps_executed,
+            other => panic!("expected Done, got {other:?}"),
+        };
         let mut cfg = EngineConfig::default();
         cfg.machine.deadline = Some(Duration::from_millis(20));
         let mut host = WorkerHost::new(cfg);
@@ -849,6 +887,8 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Completed("done".into()), "{r:?}");
         assert!(r.retries > 0, "never hit the deadline: {r:?}");
         assert!(r.checkpoints > 0, "{r:?}");
+        // Every attempt's work counts, not just the last machine's.
+        assert!(r.steps >= uninterrupted, "{} < {uninterrupted}", r.steps);
     }
 
     #[test]
@@ -902,34 +942,6 @@ mod tests {
         assert!(matches!(&r.outcome, Outcome::Failed(_)), "{r:?}");
         assert_eq!(r.retries, 0, "{r:?}");
         assert_eq!(r.checkpoints, 0, "{r:?}");
-    }
-
-    #[test]
-    fn backpressure_prefers_started_tasks_over_fresh_admissions() {
-        // With a zero-byte pool budget, the moment the first task
-        // checkpoints (gc_stress keeps its live-byte gauge nonzero) the
-        // scheduler is over budget and must drain it before admitting the
-        // second — so the long first task retires *before* the short
-        // second one, inverting the round-robin order.
-        let mut cfg = EngineConfig::default();
-        cfg.machine.gc_stress = true;
-        let mut host = WorkerHost::new(cfg);
-        host.load("(define (spin n) (if (zero? n) 'done (spin (- n 1))))")
-            .unwrap();
-        let mut sched = Scheduler::new(SchedConfig {
-            slice: 100,
-            checkpoint: true,
-            pool_budget_bytes: Some(0),
-            ..Default::default()
-        });
-        sched.submit("long", host.spawn("(spin 3000)").unwrap());
-        sched.submit("short", host.spawn("(spin 50)").unwrap());
-        let reports = sched.run_all();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].name, "long", "{reports:?}");
-        assert!(reports
-            .iter()
-            .all(|r| matches!(r.outcome, Outcome::Completed(_))));
     }
 
     #[test]

@@ -2,18 +2,15 @@
 //! the timeline data `cm-trace` exports as Chrome `trace_event` JSON.
 //!
 //! Span recording lives here (not in `cm-trace`) because the engines
-//! layer owns the timing boundaries: [`Engine::run`](crate::Engine)
-//! knows when a slice of a particular engine starts and stops, the
-//! [`Scheduler`](crate::Scheduler) knows which task it picked, and the
-//! pool knows which worker thread everything happened on. `cm-trace`
+//! layer owns the timing boundaries: the [`Scheduler`](crate::Scheduler)
+//! knows when a slice of which task starts and stops, and the pool knows
+//! which worker everything happened on and when work moved. `cm-trace`
 //! depends on this crate and only *serializes* the spans.
 //!
 //! Everything is microseconds relative to a [`SpanLog`]'s origin
 //! instant. Pool workers share one origin (the pool's start), so spans
 //! from different worker threads line up on one timeline.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// One completed interval on the timeline.
@@ -21,9 +18,9 @@ use std::time::Instant;
 pub struct Span {
     /// Display name (task or engine label).
     pub name: String,
-    /// Category: `"engine-run"` (one [`Engine::run`](crate::Engine)
-    /// call), `"slice"` (one scheduler pick), or `"worker"` (one pool
-    /// worker's whole shard).
+    /// Category: `"slice"` (one scheduler pick), `"steal"` / `"migrate"`
+    /// (a cross-worker move, zero length), `"worker"` (one pool worker's
+    /// whole run), or `"pool"` (the batch's metrics).
     pub cat: &'static str,
     /// Timeline lane: the pool worker index (0 outside a pool).
     pub tid: u32,
@@ -113,16 +110,6 @@ impl Default for SpanLog {
     fn default() -> SpanLog {
         SpanLog::new()
     }
-}
-
-/// A shared, single-threaded span sink ([`Engine`](crate::Engine)s are
-/// `Rc`-based and thread-pinned, so `Rc<RefCell<_>>` is the right
-/// sharing shape).
-pub type SpanSink = Rc<RefCell<SpanLog>>;
-
-/// Creates a fresh shared sink with origin now.
-pub fn span_sink() -> SpanSink {
-    Rc::new(RefCell::new(SpanLog::new()))
 }
 
 #[cfg(test)]

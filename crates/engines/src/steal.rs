@@ -1,36 +1,35 @@
-//! Work stealing and snapshot-based engine migration for the pool.
+//! Who moves work between pool workers: the threaded driver (static
+//! sharding when stealing is off, the stealing pool when it is on) and
+//! the deterministic replay simulator. Both drive the same workers, so
+//! a task's deadline, supervision and accounting do not depend on the
+//! mode.
 //!
-//! The static pool ([`run_pool`](crate::pool::run_pool) with
-//! [`PoolConfig::steal`] unset) shards jobs by `id % workers` and never
-//! moves work. This module adds the serving-tier story on top:
-//!
-//! * **Per-worker run queues.** Every worker owns a shared inbox of
-//!   [`Packet`]s — fresh job specs or parked (serialized) engines. A
-//!   worker drains its own inbox front-to-back; an idle worker steals
-//!   from the *back* of another worker's inbox.
+//! * **Per-worker inboxes.** Every worker owns a shared inbox of
+//!   packets — fresh job specs or parked (serialized) engines — and
+//!   admits from its front. An idle worker steals from the *back* of
+//!   another worker's inbox with `try_lock`.
 //! * **Migration via the snapshot codec.** Engines are `Rc`-based and
-//!   thread-pinned, so a *started* task can only cross threads as bytes:
+//!   thread-pinned, so a *started* task crosses threads only as bytes:
 //!   the victim serializes the just-suspended engine with
-//!   [`Engine::into_ticket`] and the thief rebuilds it with
-//!   [`Engine::from_ticket`] — the PR-8 path, so migrated bytecode is
-//!   re-verified and the restored engine runs on any thread. Because a
-//!   one-shot continuation is consumed by serialization-as-a-move, a
-//!   migrated engine can never be resumed twice.
+//!   [`Engine::snapshot`](crate::Engine::snapshot) and the thief
+//!   rebuilds it with [`Engine::restore`](crate::Engine::restore), so
+//!   migrated bytecode is re-verified. The victim drops its engine, so
+//!   a migrated one-shot continuation can never be resumed twice.
 //! * **Cooperative donation.** A victim never has its suspended engines
 //!   taken from under it (they are not `Send`, and pausing a foreign
 //!   thread is not a thing). Instead a hungry thief raises a flag; the
 //!   victim checks the flags at its next suspension — the natural safe
 //!   point — and donates the engine it just suspended, provided it
-//!   retains other work.
+//!   keeps other work.
 //! * **Deterministic replay.** The multithreaded pool is timing-
 //!   dependent by nature, so every cross-worker move is describable as a
 //!   [`StealEvent`] keyed by `(task, suspension count)` — a key that
 //!   depends only on the task's own progress, never on wall-clock. A
 //!   recorded [`StealSchedule`] replays in a single-threaded simulator
-//!   ([`StealConfig::replay`]) where worker `w` takes exactly one slice
-//!   per virtual tick, so every migration decision — including simulated
-//!   worker kills ([`StealConfig::kill_workers`]) — is reproducible
-//!   bit-for-bit.
+//!   ([`StealConfig::replay`]) where each live worker takes exactly one
+//!   slice per virtual tick, so every migration decision — including
+//!   simulated worker kills ([`StealConfig::kill_workers`]) — is
+//!   reproducible bit-for-bit.
 //!
 //! Semantics note: a migrated engine resumes with a *private* copy of
 //! the globals captured in its snapshot (the same isolation the
@@ -46,26 +45,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use cm_vm::VmErrorKind;
+use crate::pool::{Packet, PoolConfig, PoolSpec, Worker, WorkerSummary};
+use crate::sched::{Outcome, Step};
 
-use crate::engine::{Engine, MigrationTicket, RunResult, WorkerHost};
-use crate::pool::{JobSpec, PoolConfig, PoolReport, PoolSpec, WorkerSummary};
-use crate::sched::{Outcome, SchedMetrics, TaskReport};
-use crate::spans::SpanLog;
-
-/// Most engines a worker keeps live (materialized) at once; further
-/// work waits in its inbox where thieves can reach it.
-const LOCAL_CAP: usize = 32;
-
-/// Work-stealing knobs, gated behind [`PoolConfig::steal`] so the
-/// static pool (and the oracle tests running against it) is untouched
-/// when unset.
-///
-/// The stealing pool drives engines with its own queue loop, not the
-/// single-threaded [`Scheduler`](crate::Scheduler): locals run FIFO
-/// (round-robin), and [`SchedConfig`](crate::SchedConfig) supplies only
-/// `slice`, `check_invariants`, and `record_spans` — checkpoint
-/// supervision and EDF stay on the static path.
+/// Work-stealing knobs, gated behind [`PoolConfig::steal`]; unset, the
+/// pool shards statically and never moves work. Every
+/// [`SchedConfig`](crate::SchedConfig) knob applies in every mode.
 #[derive(Debug, Clone, Default)]
 pub struct StealConfig {
     /// Allow *started* (suspended) engines to migrate via the snapshot
@@ -80,8 +65,8 @@ pub struct StealConfig {
     /// `workers` field overrides [`PoolConfig::workers`] when nonzero.
     pub replay: Option<StealSchedule>,
     /// Simulated worker kills, `(tick, worker)`: at the start of that
-    /// virtual tick the worker dies and survivors re-steal its queue —
-    /// started tasks hop through the snapshot codec. Replay mode only.
+    /// virtual tick the worker dies and survivors re-steal its tasks —
+    /// started ones hop through the snapshot codec. Replay mode only.
     pub kill_workers: Vec<(u64, usize)>,
 }
 
@@ -89,7 +74,7 @@ pub struct StealConfig {
 /// schedule replays identically regardless of thread timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealEvent {
-    /// Global task id ([`JobSpec`] submission index).
+    /// Global task id ([`JobSpec`](crate::JobSpec) submission index).
     pub task: usize,
     /// The task's cumulative slice count when it moved. `0` means the
     /// task had never run — a fresh steal, no snapshot involved.
@@ -172,586 +157,166 @@ impl StealSchedule {
     }
 }
 
-/// Accounting a task accumulates across migration hops. A restored
-/// machine counts from zero, so everything before the hop lives here;
-/// retirement sums the carried totals with the final machine's stats.
-#[derive(Debug, Clone, Copy, Default)]
-struct Carried {
-    slices: u64,
-    steps: u64,
-    allocations: u64,
-    collections: u64,
-    bytes_live_peak: u64,
-    migrations: u32,
-    steals: u32,
-}
-
-impl Carried {
-    /// Folds one machine-epoch's counters in (called at each
-    /// serialization hop and once at retirement).
-    fn absorb(&mut self, stats: &cm_vm::MachineStats) {
-        self.steps += stats.steps_executed;
-        self.allocations += stats.allocations;
-        self.collections += stats.collections;
-        self.bytes_live_peak = self.bytes_live_peak.max(stats.bytes_live_peak);
-    }
-
-    fn report(
-        &self,
-        id: usize,
-        name: String,
-        outcome: Outcome,
-        turnaround: Duration,
-    ) -> TaskReport {
-        TaskReport {
-            id,
-            name,
-            outcome,
-            slices: self.slices,
-            steps: self.steps,
-            allocations: self.allocations,
-            collections: self.collections,
-            bytes_live_peak: self.bytes_live_peak,
-            turnaround,
-            retries: 0,
-            checkpoints: 0,
-            migrations: self.migrations,
-            steals: self.steals,
-        }
-    }
-}
-
-/// What sits in a worker's inbox. Both variants are plain `Send` data —
-/// engines only exist materialized inside one worker.
-enum Packet {
-    /// A job that has never run; any worker can compile and start it.
-    Fresh {
-        id: usize,
-        job: JobSpec,
-        carried: Carried,
-    },
-    /// A started engine serialized at a suspension.
-    Parked {
-        id: usize,
-        name: String,
-        expected: Option<String>,
-        ticket: MigrationTicket,
-        carried: Carried,
-    },
-}
-
-impl Packet {
-    fn id(&self) -> usize {
-        match self {
-            Packet::Fresh { id, .. } | Packet::Parked { id, .. } => *id,
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            Packet::Fresh { job, .. } => &job.name,
-            Packet::Parked { name, .. } => name,
-        }
-    }
-
-    fn carried_mut(&mut self) -> &mut Carried {
-        match self {
-            Packet::Fresh { carried, .. } | Packet::Parked { carried, .. } => carried,
-        }
-    }
-
-    fn carried(&self) -> &Carried {
-        match self {
-            Packet::Fresh { carried, .. } | Packet::Parked { carried, .. } => carried,
-        }
-    }
-}
-
 /// Poison-tolerant lock: a panicked worker must not cascade into every
 /// survivor that touches the same queue.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A materialized (running or suspended-in-place) task on one worker.
-struct Local {
-    id: usize,
-    name: String,
-    expected: Option<String>,
-    engine: Engine,
-    carried: Carried,
-}
-
-/// Cross-thread pool state shared by every worker.
+/// Cross-thread state of the threaded pool.
 struct Shared<'a> {
-    queues: &'a [Mutex<VecDeque<Packet>>],
-    hungry: &'a [AtomicBool],
-    remaining: &'a AtomicUsize,
-    custody: &'a [Mutex<HashMap<usize, String>>],
-    recorded: &'a Mutex<Vec<StealEvent>>,
+    inboxes: Vec<Mutex<VecDeque<Packet>>>,
+    hungry: Vec<AtomicBool>,
+    remaining: AtomicUsize,
+    recorded: Mutex<Vec<StealEvent>>,
+    steal: Option<&'a StealConfig>,
 }
 
-fn failed_report(pkt: &Packet, msg: &str, epoch: Instant) -> TaskReport {
-    pkt.carried().report(
-        pkt.id(),
-        pkt.name().to_string(),
-        Outcome::Failed(msg.to_string()),
-        epoch.elapsed(),
-    )
-}
-
-/// Turns an inbox packet into a live engine on this worker: compile a
-/// fresh job (computing its verification baseline first if needed) or
-/// restore a parked one through the codec's re-verifying path.
-// Err is the complete failure TaskReport; it flows straight into the
-// reports vec, so boxing would only add an unwrap at the one call site.
-#[allow(clippy::result_large_err)]
-fn materialize(
-    pkt: Packet,
-    host: &mut WorkerHost,
-    verify: bool,
-    mismatches: &mut Vec<String>,
-    epoch: Instant,
-) -> Result<Local, TaskReport> {
-    match pkt {
-        Packet::Fresh { id, job, carried } => {
-            let mut expected = job.expected.clone();
-            if expected.is_none() && verify {
-                match host.eval(&job.run) {
-                    Ok(v) => expected = Some(v.write_string()),
-                    Err(e) => mismatches.push(format!("{}: baseline run failed: {e}", job.name)),
-                }
-            }
-            match host.spawn(&job.run) {
-                Ok(engine) => Ok(Local {
-                    id,
-                    name: job.name,
-                    expected,
-                    engine,
-                    carried,
-                }),
-                Err(e) => Err(carried.report(
-                    id,
-                    job.name,
-                    Outcome::Failed(format!("compile failed: {e}")),
-                    epoch.elapsed(),
-                )),
-            }
+impl Shared<'_> {
+    fn record(&self, task: usize, suspension: u64, from: usize, to: usize) {
+        if self.steal.is_some_and(|sc| sc.record) {
+            lock(&self.recorded).push(StealEvent {
+                task,
+                suspension,
+                from,
+                to,
+            });
         }
-        Packet::Parked {
-            id,
-            name,
-            expected,
-            ticket,
-            carried,
-        } => match Engine::from_ticket(&ticket) {
-            Ok(engine) => Ok(Local {
-                id,
-                name,
-                expected,
-                engine,
-                carried,
-            }),
-            Err(e) => Err(carried.report(
-                id,
-                name,
-                Outcome::Failed(format!("migration restore failed: {e}")),
-                epoch.elapsed(),
-            )),
-        },
     }
 }
 
-/// One worker thread of the stealing pool. Returns its summary; panics
-/// are caught by the caller, which reports the engines this worker held
-/// (its custody set) as failed.
-#[allow(clippy::too_many_lines)]
-fn steal_worker(
-    w: usize,
-    config: &PoolConfig,
-    spec: &PoolSpec,
-    sc: &StealConfig,
-    shared: &Shared<'_>,
-    epoch: Instant,
-) -> WorkerSummary {
-    let start = Instant::now();
-    let workers = shared.queues.len();
-    let tid = u32::try_from(w).unwrap_or(u32::MAX);
-    let record_spans = config.sched.record_spans;
-    let mut spans = SpanLog::with_origin(epoch);
-    let mut reports = Vec::new();
-    let mut mismatches = Vec::new();
-    let mut steps_executed = 0u64;
-    let mut host = WorkerHost::new(config.engine.clone());
-    let mut setup_ok = true;
-    for (i, setup) in spec.setups.iter().enumerate() {
-        if let Err(e) = host.load(setup) {
-            // This worker can't run anything; fail whatever is in its
-            // inbox right now. (Thieves may already have taken part of
-            // it — each packet is handled exactly once either way.)
-            let msg = format!("worker setup #{i} failed: {e}");
-            let drained: Vec<Packet> = {
-                let mut q = lock(&shared.queues[w]);
-                q.drain(..).collect()
-            };
-            for pkt in drained {
-                reports.push(failed_report(&pkt, &msg, epoch));
-                shared.remaining.fetch_sub(1, Ordering::SeqCst);
+/// One worker thread: admit, run a slice, and — with stealing on —
+/// donate at suspensions and steal when idle. `counted` is how many of
+/// its reports the pool's `remaining` already excludes.
+fn drive(wk: &mut Worker<'_>, sh: &Shared<'_>, counted: &mut usize) {
+    let w = wk.w;
+    wk.baselines(&mut lock(&sh.inboxes[w]));
+    loop {
+        wk.admit(|| lock(&sh.inboxes[w]).pop_front());
+        let step = wk.sched.step();
+        let retired = wk.sched.reports.len();
+        if retired > *counted {
+            sh.remaining.fetch_sub(retired - *counted, Ordering::SeqCst);
+            *counted = retired;
+        }
+        match step {
+            Step::Ran => {}
+            Step::Suspended(..) => donate(wk, sh),
+            Step::Idle
+                if sh.steal.is_some()
+                    && wk.is_ready()
+                    && sh.remaining.load(Ordering::SeqCst) > 0 =>
+            {
+                steal(wk, sh);
             }
-            setup_ok = false;
-            break;
+            Step::Idle => return,
         }
     }
-    let mut locals: VecDeque<Local> = VecDeque::new();
-    if setup_ok {
-        loop {
-            // Admit from the inbox while there is local capacity.
-            while locals.len() < LOCAL_CAP {
-                let Some(pkt) = lock(&shared.queues[w]).pop_front() else {
-                    break;
-                };
-                match materialize(pkt, &mut host, spec.verify, &mut mismatches, epoch) {
-                    Ok(local) => {
-                        lock(&shared.custody[w]).insert(local.id, local.name.clone());
-                        locals.push_back(local);
-                    }
-                    Err(report) => {
-                        reports.push(report);
-                        shared.remaining.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            let Some(local) = locals.pop_front() else {
-                // Empty-handed: exit if the batch is done, otherwise steal.
-                if shared.remaining.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                shared.hungry[w].store(true, Ordering::SeqCst);
-                let mut got = false;
-                for d in 1..workers {
-                    let v = (w + d) % workers;
-                    let Ok(mut q) = shared.queues[v].try_lock() else {
-                        continue;
-                    };
-                    let Some(mut pkt) = q.pop_back() else {
-                        continue;
-                    };
-                    drop(q);
-                    shared.hungry[w].store(false, Ordering::SeqCst);
-                    let suspension = pkt.carried().slices;
-                    pkt.carried_mut().steals += 1;
-                    if sc.record {
-                        lock(shared.recorded).push(StealEvent {
-                            task: pkt.id(),
-                            suspension,
-                            from: v,
-                            to: w,
-                        });
-                    }
-                    if record_spans {
-                        let now = Instant::now();
-                        spans.record(
-                            pkt.name().to_string(),
-                            "steal",
-                            tid,
-                            now,
-                            now,
-                            vec![
-                                ("task", pkt.id().to_string()),
-                                ("from", v.to_string()),
-                                ("suspension", suspension.to_string()),
-                            ],
-                        );
-                    }
-                    lock(&shared.queues[w]).push_back(pkt);
-                    got = true;
-                    break;
-                }
-                if !got {
-                    if lock(&shared.queues[w]).is_empty() {
-                        // Nothing stealable anywhere yet (remaining tasks are
-                        // live on other workers); leave the hungry flag up so
-                        // a victim donates at its next suspension.
-                        std::thread::yield_now();
-                        std::thread::sleep(Duration::from_micros(50));
-                    } else {
-                        // A donation landed in our own inbox meanwhile.
-                        shared.hungry[w].store(false, Ordering::SeqCst);
-                    }
-                }
-                continue;
-            };
-            shared.hungry[w].store(false, Ordering::SeqCst);
-            // Run one slice of the front local task.
-            let Local {
-                id,
-                name,
-                expected,
-                engine,
-                mut carried,
-            } = local;
-            carried.slices += 1;
-            let steps_before = engine.stats().steps_executed;
-            let slice_start = record_spans.then(Instant::now);
-            let result = engine.run(config.sched.slice);
-            if let Some(started) = slice_start {
-                let (outcome, stats) = match &result {
-                    RunResult::Done(_, s) => ("done", s),
-                    RunResult::Suspended(_, s) => ("suspended", s),
-                    RunResult::Failed(_, s) => ("failed", s),
-                };
-                spans.record(
-                    name.clone(),
-                    "slice",
-                    tid,
-                    started,
-                    Instant::now(),
-                    vec![
-                        ("task", id.to_string()),
-                        ("slice", carried.slices.to_string()),
-                        ("steps", (stats.steps_executed - steps_before).to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                );
-            }
-            match result {
-                RunResult::Done(v, stats) => {
-                    steps_executed += stats.steps_executed - steps_before;
-                    carried.absorb(&stats);
-                    let got = v.write_string();
-                    if let Some(want) = &expected {
-                        if got != *want {
-                            mismatches.push(format!(
-                            "{name}: stolen run produced {got}, uninterrupted run produced {want}"
-                        ));
-                        }
-                    }
-                    lock(&shared.custody[w]).remove(&id);
-                    reports.push(carried.report(
-                        id,
-                        name,
-                        Outcome::Completed(got),
-                        epoch.elapsed(),
-                    ));
-                    shared.remaining.fetch_sub(1, Ordering::SeqCst);
-                }
-                RunResult::Failed(e, stats) => {
-                    steps_executed += stats.steps_executed - steps_before;
-                    carried.absorb(&stats);
-                    let outcome = if e.kind == VmErrorKind::DeadlineExceeded {
-                        Outcome::TimedOut
-                    } else {
-                        Outcome::Failed(e.to_string())
-                    };
-                    lock(&shared.custody[w]).remove(&id);
-                    reports.push(carried.report(id, name, outcome, epoch.elapsed()));
-                    shared.remaining.fetch_sub(1, Ordering::SeqCst);
-                }
-                RunResult::Suspended(engine, stats) => {
-                    steps_executed += stats.steps_executed - steps_before;
-                    if config.sched.check_invariants {
-                        if let Err(msg) = engine.check_invariants() {
-                            carried.absorb(&stats);
-                            lock(&shared.custody[w]).remove(&id);
-                            reports.push(carried.report(
-                                id,
-                                name,
-                                Outcome::Failed(format!("invariant violated: {msg}")),
-                                epoch.elapsed(),
-                            ));
-                            shared.remaining.fetch_sub(1, Ordering::SeqCst);
-                            continue;
-                        }
-                    }
-                    // Donation check: this suspension is the migration safe
-                    // point. Donate the just-suspended engine to a hungry
-                    // thief, provided we keep other work (otherwise the hop
-                    // just moves the idleness).
-                    let thief = if sc.migrate
-                        && (!locals.is_empty() || !lock(&shared.queues[w]).is_empty())
-                    {
-                        (1..workers)
-                            .map(|d| (w + d) % workers)
-                            .find(|&v| shared.hungry[v].swap(false, Ordering::SeqCst))
-                    } else {
-                        None
-                    };
-                    let Some(thief) = thief else {
-                        locals.push_back(Local {
-                            id,
-                            name,
-                            expected,
-                            engine,
-                            carried,
-                        });
-                        continue;
-                    };
-                    match engine.into_ticket() {
-                        Ok(ticket) => {
-                            carried.absorb(&ticket.stats);
-                            carried.migrations += 1;
-                            carried.steals += 1;
-                            let suspension = carried.slices;
-                            if sc.record {
-                                lock(shared.recorded).push(StealEvent {
-                                    task: id,
-                                    suspension,
-                                    from: w,
-                                    to: thief,
-                                });
-                            }
-                            if record_spans {
-                                let now = Instant::now();
-                                spans.record(
-                                    name.clone(),
-                                    "migrate",
-                                    tid,
-                                    now,
-                                    now,
-                                    vec![
-                                        ("task", id.to_string()),
-                                        ("to", thief.to_string()),
-                                        ("suspension", suspension.to_string()),
-                                        ("bytes", ticket.bytes.len().to_string()),
-                                    ],
-                                );
-                            }
-                            lock(&shared.custody[w]).remove(&id);
-                            lock(&shared.queues[thief]).push_back(Packet::Parked {
-                                id,
-                                name,
-                                expected,
-                                ticket,
-                                carried,
-                            });
-                        }
-                        Err((undonated, _)) => {
-                            // Serialization refused; keep running it here.
-                            // The thief re-raises its flag next loop.
-                            locals.push_back(Local {
-                                id,
-                                name,
-                                expected,
-                                engine: undonated,
-                                carried,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+}
+
+/// At a suspension: hand the engine that just suspended to a hungry
+/// thief, provided this worker keeps other work (otherwise the hop just
+/// moves the idleness).
+fn donate(wk: &mut Worker<'_>, sh: &Shared<'_>) {
+    let (w, n) = (wk.w, sh.inboxes.len());
+    if !sh.steal.is_some_and(|sc| sc.migrate)
+        || (wk.sched.pending() <= 1 && lock(&sh.inboxes[w]).is_empty())
+    {
+        return;
     }
-    let summary_spans = if record_spans {
-        let mut whole = SpanLog::with_origin(epoch);
-        whole.record(
-            format!("worker-{w}"),
-            "worker",
-            tid,
-            start,
-            Instant::now(),
-            vec![("steps", steps_executed.to_string())],
-        );
-        let mut all = spans.into_spans();
-        all.extend(whole.into_spans());
-        all
+    let Some(thief) = (1..n)
+        .map(|d| (w + d) % n)
+        .find(|&v| sh.hungry[v].swap(false, Ordering::SeqCst))
+    else {
+        return;
+    };
+    // A refused serialization keeps the task here; the thief re-raises
+    // its flag.
+    if let Some(pkt) = wk.evict_last(thief) {
+        sh.record(pkt.record.id, pkt.record.slices, w, thief);
+        lock(&sh.inboxes[thief]).push_back(pkt);
+    }
+}
+
+/// Idle: take a packet from the back of another worker's inbox, or
+/// leave the hungry flag up for a victim to donate at its next
+/// suspension.
+fn steal(wk: &mut Worker<'_>, sh: &Shared<'_>) {
+    let (w, n) = (wk.w, sh.inboxes.len());
+    sh.hungry[w].store(true, Ordering::SeqCst);
+    for v in (1..n).map(|d| (w + d) % n) {
+        let Some(mut pkt) = sh.inboxes[v].try_lock().ok().and_then(|mut q| q.pop_back()) else {
+            continue;
+        };
+        sh.hungry[w].store(false, Ordering::SeqCst);
+        let (task, suspension) = (pkt.record.id, pkt.record.slices);
+        pkt.record.steals += 1;
+        sh.record(task, suspension, v, w);
+        let args = vec![
+            ("task", task.to_string()),
+            ("from", v.to_string()),
+            ("suspension", suspension.to_string()),
+        ];
+        wk.sched.span(&pkt.record.name, "steal", None, args);
+        lock(&sh.inboxes[w]).push_back(pkt);
+        return;
+    }
+    if lock(&sh.inboxes[w]).is_empty() {
+        // Nothing stealable yet (the remaining tasks are live on other
+        // workers).
+        std::thread::yield_now();
+        std::thread::sleep(Duration::from_micros(50));
     } else {
-        Vec::new()
-    };
-    WorkerSummary {
-        worker: w,
-        reports,
-        mismatches,
-        wall: start.elapsed(),
-        spans: summary_spans,
-        steps_executed,
-        panicked: None,
+        // A donation landed in our own inbox meanwhile.
+        sh.hungry[w].store(false, Ordering::SeqCst);
     }
 }
 
-/// Runs the batch over real worker threads with work stealing. See the
-/// module docs for the protocol.
-pub(crate) fn run_pool_stealing(
+/// Runs the workers on one thread each: static sharding, or the
+/// stealing pool with [`PoolConfig::steal`] set.
+pub(crate) fn run_threads(
     config: &PoolConfig,
     spec: &PoolSpec,
-    sc: &StealConfig,
-) -> PoolReport {
-    let workers = config.workers.max(1);
-    let queues: Vec<Mutex<VecDeque<Packet>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (id, job) in spec.jobs.iter().enumerate() {
-        lock(&queues[id % workers]).push_back(Packet::Fresh {
-            id,
-            job: job.clone(),
-            carried: Carried::default(),
-        });
-    }
-    let hungry: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(false)).collect();
-    let remaining = AtomicUsize::new(spec.jobs.len());
-    let custody: Vec<Mutex<HashMap<usize, String>>> =
-        (0..workers).map(|_| Mutex::new(HashMap::new())).collect();
-    let recorded = Mutex::new(Vec::<StealEvent>::new());
-    let shared = Shared {
-        queues: &queues,
-        hungry: &hungry,
-        remaining: &remaining,
-        custody: &custody,
-        recorded: &recorded,
+    inboxes: Vec<VecDeque<Packet>>,
+    epoch: Instant,
+) -> (Vec<WorkerSummary>, Option<StealSchedule>) {
+    let workers = inboxes.len();
+    let sh = Shared {
+        inboxes: inboxes.into_iter().map(Mutex::new).collect(),
+        hungry: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+        remaining: AtomicUsize::new(spec.jobs.len()),
+        recorded: Mutex::default(),
+        steal: config.steal.as_ref(),
     };
-    let epoch = Instant::now();
     let mut summaries: Vec<WorkerSummary> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let shared = &shared;
+                let sh = &sh;
                 scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        steal_worker(w, config, spec, sc, shared, epoch)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = payload
+                    let (mut worker, mut counted) = (None, 0);
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        drive(
+                            worker.insert(Worker::new(w, config, spec, epoch)),
+                            sh,
+                            &mut counted,
+                        );
+                    }));
+                    let panicked = caught.err().map(|payload| {
+                        payload
                             .downcast_ref::<&str>()
                             .map(|s| (*s).to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        // The engines this worker held are gone; report
-                        // them from the custody set and release their
-                        // completion slots so survivors can terminate.
-                        // Its *queue* survives (it lives outside the
-                        // thread) and is drained by thieves.
-                        let held: Vec<(usize, String)> = {
-                            let mut c = lock(&shared.custody[w]);
-                            c.drain().collect()
-                        };
-                        let reports: Vec<TaskReport> = held
-                            .into_iter()
-                            .map(|(id, name)| {
-                                shared.remaining.fetch_sub(1, Ordering::SeqCst);
-                                TaskReport {
-                                    id,
-                                    name,
-                                    outcome: Outcome::Failed(format!("worker panicked: {msg}")),
-                                    slices: 0,
-                                    steps: 0,
-                                    allocations: 0,
-                                    collections: 0,
-                                    bytes_live_peak: 0,
-                                    turnaround: epoch.elapsed(),
-                                    retries: 0,
-                                    checkpoints: 0,
-                                    migrations: 0,
-                                    steals: 0,
-                                }
-                            })
-                            .collect();
-                        WorkerSummary {
-                            worker: w,
-                            reports,
-                            mismatches: Vec::new(),
-                            wall: epoch.elapsed(),
-                            spans: Vec::new(),
-                            steps_executed: 0,
-                            panicked: Some(msg),
-                        }
-                    })
+                            .unwrap_or_else(|| "non-string panic payload".into())
+                    });
+                    let summary = match worker {
+                        Some(wk) => wk.finish(panicked),
+                        None => WorkerSummary::lost(w, panicked, epoch),
+                    };
+                    // Release the completion slots of the tasks a panic
+                    // failed, so survivors can terminate.
+                    let lost = summary.reports.len().saturating_sub(counted);
+                    sh.remaining.fetch_sub(lost, Ordering::SeqCst);
+                    summary
                 })
             })
             .collect();
@@ -760,64 +325,23 @@ pub(crate) fn run_pool_stealing(
             .map(|h| h.join().expect("panic already caught"))
             .collect()
     });
-    summaries.sort_by_key(|s| s.worker);
     // If every worker died there may be unclaimed packets left; surface
     // them rather than silently dropping jobs.
-    for (w, q) in queues.iter().enumerate() {
-        let leftover: Vec<Packet> = {
-            let mut q = lock(q);
-            q.drain(..).collect()
-        };
-        for pkt in leftover {
-            summaries[w].reports.push(failed_report(
-                &pkt,
-                "pool shut down before the task ran",
-                epoch,
-            ));
+    for (summary, inbox) in summaries.iter_mut().zip(&sh.inboxes) {
+        for pkt in lock(inbox).drain(..) {
+            let outcome = Outcome::Failed("pool shut down before the task ran".into());
+            summary.reports.push(pkt.record.report(outcome));
         }
     }
-    let wall = epoch.elapsed();
-    let all: Vec<TaskReport> = summaries
-        .iter()
-        .flat_map(|s| s.reports.iter().cloned())
-        .collect();
-    let metrics = SchedMetrics::from_reports(&all, wall);
-    let schedule = sc.record.then(|| StealSchedule {
-        workers,
-        events: recorded
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    });
-    let pool_spans = crate::pool::pool_metrics_spans(workers, &metrics, config.sched.record_spans);
-    PoolReport {
-        metrics,
-        workers: summaries,
-        wall,
-        schedule,
-        pool_spans,
-    }
-}
-
-/// One simulated task in the deterministic replay scheduler.
-struct SimTask {
-    name: String,
-    run: String,
-    expected: Option<String>,
-    engine: Option<Engine>,
-    started: bool,
-    done: bool,
-    carried: Carried,
-}
-
-/// One simulated worker: a real host and queue, driven round-robin on a
-/// single thread in virtual ticks.
-struct SimWorker {
-    host: WorkerHost,
-    queue: VecDeque<usize>,
-    reports: Vec<TaskReport>,
-    mismatches: Vec<String>,
-    steps_executed: u64,
-    spans: SpanLog,
+    let events = sh
+        .recorded
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let schedule = sh
+        .steal
+        .is_some_and(|sc| sc.record)
+        .then_some(StealSchedule { workers, events });
+    (summaries, schedule)
 }
 
 /// Next live worker at or after `want`, searching forward cyclically.
@@ -826,443 +350,118 @@ fn route_alive(want: usize, alive: &[bool]) -> Option<usize> {
     (0..n).map(|d| (want + d) % n).find(|&w| alive[w])
 }
 
-/// Runs the batch in the deterministic single-threaded simulator,
-/// replaying `sc.replay` (empty schedule = no moves). Worker `w` takes
-/// exactly one slice per virtual tick, in worker order, so the whole
-/// run — including migrations and kills — is a pure function of the
-/// spec, the config, and the schedule.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn run_pool_replay(
+/// Runs the workers in the deterministic single-threaded simulator,
+/// replaying `sc.replay` (empty schedule = no moves). Each live worker
+/// takes exactly one slice per virtual tick, in worker order, so the
+/// whole run — including migrations and kills — is a pure function of
+/// the spec, the config, and the schedule.
+pub(crate) fn run_replay(
     config: &PoolConfig,
     spec: &PoolSpec,
     sc: &StealConfig,
-) -> PoolReport {
-    let schedule = sc.replay.clone().unwrap_or_default();
-    let workers = if schedule.workers > 0 {
-        schedule.workers
-    } else {
-        config.workers.max(1)
-    };
-    let record_spans = config.sched.record_spans;
-    let epoch = Instant::now();
-    let mut recorded: Vec<StealEvent> = schedule.events.clone();
-    let mut sims: Vec<SimWorker> = (0..workers)
-        .map(|_| SimWorker {
-            host: WorkerHost::new(config.engine.clone()),
-            queue: VecDeque::new(),
-            reports: Vec::new(),
-            mismatches: Vec::new(),
-            steps_executed: 0,
-            spans: SpanLog::with_origin(epoch),
-        })
+    mut inboxes: Vec<VecDeque<Packet>>,
+    epoch: Instant,
+) -> (Vec<WorkerSummary>, Option<StealSchedule>) {
+    let n = inboxes.len();
+    let events = sc.replay.as_ref().map_or(&[][..], |s| &s.events[..]);
+    let mut recorded = events.to_vec();
+    let mut ws: Vec<Worker<'_>> = (0..n)
+        .map(|w| Worker::new(w, config, spec, epoch))
         .collect();
-    let mut alive = vec![true; workers];
-    let mut tasks: Vec<Option<SimTask>> = spec
-        .jobs
-        .iter()
-        .map(|job| {
-            Some(SimTask {
-                name: job.name.clone(),
-                run: job.run.clone(),
-                expected: job.expected.clone(),
-                engine: None,
-                started: false,
-                done: false,
-                carried: Carried::default(),
-            })
-        })
-        .collect();
-    let total = tasks.len();
-    let mut retired = 0usize;
-    // Setups; a failed setup kills the worker and fails its shard, like
-    // the static pool.
-    let mut setup_failure: Vec<Option<String>> = vec![None; workers];
-    for (w, sim) in sims.iter_mut().enumerate() {
-        for (i, setup) in spec.setups.iter().enumerate() {
-            if let Err(e) = sim.host.load(setup) {
-                setup_failure[w] = Some(format!("worker setup #{i} failed: {e}"));
-                alive[w] = false;
-                break;
-            }
-        }
+    for (wk, inbox) in ws.iter_mut().zip(&mut inboxes) {
+        wk.baselines(inbox);
     }
-    // Initial placement: the same `id % workers` sharding as the static
-    // and multithreaded pools, so recorded schedules line up.
-    for (id, slot) in tasks.iter_mut().enumerate() {
-        let w = id % workers;
-        if let Some(msg) = &setup_failure[w] {
-            let task = slot.take().expect("fresh task");
-            sims[w].reports.push(task.carried.report(
-                id,
-                task.name,
-                Outcome::Failed(msg.clone()),
-                epoch.elapsed(),
-            ));
-            retired += 1;
-        } else {
-            sims[w].queue.push_back(id);
-        }
-    }
-    // Verification baselines, computed per shard before any sliced run
-    // (matching the static pool's ordering guarantees).
-    if spec.verify {
-        for sim in &mut sims {
-            let ids: Vec<usize> = sim.queue.iter().copied().collect();
-            for id in ids {
-                let task = tasks[id].as_mut().expect("queued task");
-                if task.expected.is_none() {
-                    match sim.host.eval(&task.run) {
-                        Ok(v) => task.expected = Some(v.write_string()),
-                        Err(e) => {
-                            let name = task.name.clone();
-                            sim.mismatches
-                                .push(format!("{name}: baseline run failed: {e}"));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Fresh steals (suspension = 0) are placement decisions: apply them
+    let mut alive = vec![true; n];
+    // Fresh steals (suspension 0) are placement decisions: apply them
     // before the first tick, in event order.
-    for ev in schedule.events.iter().filter(|e| e.suspension == 0) {
-        if ev.task >= total {
-            continue;
+    for ev in events.iter().filter(|e| e.suspension == 0) {
+        let found = inboxes.iter_mut().find_map(|q| {
+            let pos = q.iter().position(|p| p.record.id == ev.task)?;
+            q.remove(pos)
+        });
+        if let Some(mut pkt) = found {
+            pkt.record.steals += 1;
+            inboxes[ev.to % n].push_back(pkt);
         }
-        let Some(task) = tasks[ev.task].as_mut() else {
-            continue;
-        };
-        if task.started || task.done {
-            continue;
-        }
-        let Some(dest) = route_alive(ev.to, &alive) else {
-            continue;
-        };
-        for sim in sims.iter_mut() {
-            sim.queue.retain(|&id| id != ev.task);
-        }
-        task.carried.steals += 1;
-        sims[dest].queue.push_back(ev.task);
     }
-    // Migration events, keyed by the task's suspension count. Several
-    // events may share a key (a parked engine re-stolen before resume):
-    // one serialization, hop to the last destination.
-    let mut moves: HashMap<(usize, u64), Vec<StealEvent>> = HashMap::new();
-    for ev in schedule.events.iter().filter(|e| e.suspension > 0) {
-        moves.entry((ev.task, ev.suspension)).or_default().push(*ev);
+    // Migrations, keyed by the task's suspension count. Several events
+    // may share a key (a parked engine re-stolen before anyone resumed
+    // it): one serialization, a hop to the last destination.
+    let mut moves: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+    for ev in events.iter().filter(|e| e.suspension > 0) {
+        moves
+            .entry((ev.task, ev.suspension))
+            .or_default()
+            .push(ev.to);
     }
     let mut tick = 0u64;
-    while retired < total {
+    loop {
         tick += 1;
-        // Kills scheduled for this tick.
-        for &(at, kw) in &sc.kill_workers {
-            if at != tick || kw >= workers || !alive[kw] {
+        for &(_, kw) in sc.kill_workers.iter().filter(|&&(at, _)| at == tick) {
+            if kw >= n || !alive[kw] {
                 continue;
             }
             alive[kw] = false;
-            let victims: Vec<usize> = sims[kw].queue.drain(..).collect();
-            let survivors: Vec<usize> = (0..workers).filter(|&x| alive[x]).collect();
-            for (i, id) in victims.into_iter().enumerate() {
-                let mut task = tasks[id].take().expect("queued task");
+            let survivors: Vec<usize> = (0..n).filter(|&x| alive[x]).collect();
+            let mut victims = ws[kw].evict_all();
+            victims.extend(inboxes[kw].drain(..).map(|mut pkt| {
+                pkt.record.steals += 1;
+                pkt
+            }));
+            for (i, pkt) in victims.into_iter().enumerate() {
                 if survivors.is_empty() {
-                    sims[kw].reports.push(task.carried.report(
-                        id,
-                        task.name,
-                        Outcome::Failed("worker killed with no survivors".into()),
-                        epoch.elapsed(),
-                    ));
-                    retired += 1;
+                    let outcome = Outcome::Failed("worker killed with no survivors".into());
+                    ws[kw].sched.retire(pkt.record, outcome);
                     continue;
                 }
                 let dest = survivors[i % survivors.len()];
-                // A started task crosses through the snapshot codec —
-                // exactly what a survivor re-stealing from a dead
-                // worker's shard does.
-                if let Some(engine) = task.engine.take() {
-                    match engine.into_ticket() {
-                        Ok(ticket) => {
-                            task.carried.absorb(&ticket.stats);
-                            task.carried.migrations += 1;
-                            task.carried.steals += 1;
-                            if sc.record {
-                                recorded.push(StealEvent {
-                                    task: id,
-                                    suspension: task.carried.slices,
-                                    from: kw,
-                                    to: dest,
-                                });
-                            }
-                            match Engine::from_ticket(&ticket) {
-                                Ok(e2) => {
-                                    task.engine = Some(e2);
-                                    sims[dest].queue.push_back(id);
-                                    tasks[id] = Some(task);
-                                }
-                                Err(e) => {
-                                    sims[dest].reports.push(task.carried.report(
-                                        id,
-                                        task.name,
-                                        Outcome::Failed(format!("re-steal restore failed: {e}")),
-                                        epoch.elapsed(),
-                                    ));
-                                    retired += 1;
-                                }
-                            }
-                        }
-                        Err((_, e)) => {
-                            sims[dest].reports.push(task.carried.report(
-                                id,
-                                task.name,
-                                Outcome::Failed(format!("re-steal snapshot failed: {e}")),
-                                epoch.elapsed(),
-                            ));
-                            retired += 1;
-                        }
-                    }
-                } else {
-                    task.carried.steals += 1;
-                    if sc.record {
-                        recorded.push(StealEvent {
-                            task: id,
-                            suspension: 0,
-                            from: kw,
-                            to: dest,
-                        });
-                    }
-                    sims[dest].queue.push_back(id);
-                    tasks[id] = Some(task);
+                if sc.record {
+                    recorded.push(StealEvent {
+                        task: pkt.record.id,
+                        suspension: pkt.record.slices,
+                        from: kw,
+                        to: dest,
+                    });
                 }
+                inboxes[dest].push_back(pkt);
             }
         }
         let mut progressed = false;
-        for w in 0..workers {
-            if !alive[w] {
-                continue;
-            }
-            let Some(id) = sims[w].queue.pop_front() else {
+        for w in (0..n).filter(|&w| alive[w]) {
+            let wk = &mut ws[w];
+            wk.admit(|| inboxes[w].pop_front());
+            let step = wk.sched.step();
+            progressed |= step != Step::Idle;
+            let Step::Suspended(task, suspension) = step else {
                 continue;
             };
-            progressed = true;
-            let mut task = tasks[id].take().expect("queued task exists");
-            if task.engine.is_none() {
-                match sims[w].host.spawn(&task.run) {
-                    Ok(engine) => {
-                        task.engine = Some(engine);
-                        task.started = true;
-                    }
-                    Err(e) => {
-                        sims[w].reports.push(task.carried.report(
-                            id,
-                            task.name,
-                            Outcome::Failed(format!("compile failed: {e}")),
-                            epoch.elapsed(),
-                        ));
-                        retired += 1;
-                        continue;
-                    }
-                }
-            }
-            let engine = task.engine.take().expect("just ensured");
-            task.carried.slices += 1;
-            let steps_before = engine.stats().steps_executed;
-            let slice_start = record_spans.then(Instant::now);
-            let result = engine.run(config.sched.slice);
-            let tid = u32::try_from(w).unwrap_or(u32::MAX);
-            if let Some(started) = slice_start {
-                let (outcome, stats) = match &result {
-                    RunResult::Done(_, s) => ("done", s),
-                    RunResult::Suspended(_, s) => ("suspended", s),
-                    RunResult::Failed(_, s) => ("failed", s),
-                };
-                sims[w].spans.record(
-                    task.name.clone(),
-                    "slice",
-                    tid,
-                    started,
-                    Instant::now(),
-                    vec![
-                        ("task", id.to_string()),
-                        ("slice", task.carried.slices.to_string()),
-                        ("steps", (stats.steps_executed - steps_before).to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                );
-            }
-            match result {
-                RunResult::Done(v, stats) => {
-                    sims[w].steps_executed += stats.steps_executed - steps_before;
-                    task.carried.absorb(&stats);
-                    let got = v.write_string();
-                    if let Some(want) = &task.expected {
-                        if got != *want {
-                            sims[w].mismatches.push(format!(
-                                "{}: replayed run produced {got}, uninterrupted run produced {want}",
-                                task.name
-                            ));
-                        }
-                    }
-                    sims[w].reports.push(task.carried.report(
-                        id,
-                        task.name,
-                        Outcome::Completed(got),
-                        epoch.elapsed(),
-                    ));
-                    retired += 1;
-                    continue;
-                }
-                RunResult::Failed(e, stats) => {
-                    sims[w].steps_executed += stats.steps_executed - steps_before;
-                    task.carried.absorb(&stats);
-                    let outcome = if e.kind == VmErrorKind::DeadlineExceeded {
-                        Outcome::TimedOut
-                    } else {
-                        Outcome::Failed(e.to_string())
-                    };
-                    sims[w].reports.push(task.carried.report(
-                        id,
-                        task.name,
-                        outcome,
-                        epoch.elapsed(),
-                    ));
-                    retired += 1;
-                    continue;
-                }
-                RunResult::Suspended(engine, stats) => {
-                    sims[w].steps_executed += stats.steps_executed - steps_before;
-                    if config.sched.check_invariants {
-                        if let Err(msg) = engine.check_invariants() {
-                            task.carried.absorb(&stats);
-                            sims[w].reports.push(task.carried.report(
-                                id,
-                                task.name,
-                                Outcome::Failed(format!("invariant violated: {msg}")),
-                                epoch.elapsed(),
-                            ));
-                            retired += 1;
-                            continue;
-                        }
-                    }
-                    let key = (id, task.carried.slices);
-                    if let Some(chain) = moves.get(&key) {
-                        let want = chain.last().expect("nonempty chain").to;
-                        let dest = route_alive(want, &alive).unwrap_or(w);
-                        let hops = u32::try_from(chain.len()).unwrap_or(u32::MAX);
-                        match engine.into_ticket() {
-                            Ok(ticket) => {
-                                task.carried.absorb(&ticket.stats);
-                                task.carried.migrations += 1;
-                                task.carried.steals += hops;
-                                if record_spans {
-                                    let now = Instant::now();
-                                    sims[w].spans.record(
-                                        task.name.clone(),
-                                        "migrate",
-                                        tid,
-                                        now,
-                                        now,
-                                        vec![
-                                            ("task", id.to_string()),
-                                            ("to", dest.to_string()),
-                                            ("suspension", task.carried.slices.to_string()),
-                                            ("bytes", ticket.bytes.len().to_string()),
-                                        ],
-                                    );
-                                }
-                                match Engine::from_ticket(&ticket) {
-                                    Ok(e2) => {
-                                        task.engine = Some(e2);
-                                        sims[dest].queue.push_back(id);
-                                    }
-                                    Err(e) => {
-                                        sims[w].reports.push(task.carried.report(
-                                            id,
-                                            task.name,
-                                            Outcome::Failed(format!(
-                                                "migration restore failed: {e}"
-                                            )),
-                                            epoch.elapsed(),
-                                        ));
-                                        retired += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            Err((kept, _)) => {
-                                // Not serializable at this suspension;
-                                // the move is skipped, the task stays.
-                                task.engine = Some(kept);
-                                sims[w].queue.push_back(id);
-                            }
-                        }
-                    } else {
-                        task.engine = Some(engine);
-                        sims[w].queue.push_back(id);
-                    }
-                }
-            }
-            tasks[id] = Some(task);
-        }
-        if !progressed && retired < total {
-            // Tasks stranded (e.g. queued to a worker killed with no
-            // survivors able to hold them). Fail them explicitly.
-            let before = retired;
-            for sim in &mut sims {
-                let stranded: Vec<usize> = sim.queue.drain(..).collect();
-                for id in stranded {
-                    let task = tasks[id].take().expect("stranded task");
-                    sim.reports.push(task.carried.report(
-                        id,
-                        task.name,
-                        Outcome::Failed("stranded: no live worker to run the task".into()),
-                        epoch.elapsed(),
-                    ));
-                    retired += 1;
-                }
-            }
-            if retired == before {
-                // No queued work anywhere yet no progress: nothing left
-                // to do but bail rather than spin forever.
-                break;
+            let Some(hops) = moves.get(&(task, suspension)) else {
+                continue;
+            };
+            let dest = route_alive(*hops.last().expect("nonempty"), &alive).unwrap_or(w);
+            if let Some(mut pkt) = wk.evict_last(dest) {
+                pkt.record.steals += u32::try_from(hops.len() - 1).unwrap_or(u32::MAX);
+                inboxes[dest].push_back(pkt);
             }
         }
+        if !progressed {
+            break;
+        }
     }
-    let wall = epoch.elapsed();
-    let summaries: Vec<WorkerSummary> = sims
-        .into_iter()
-        .enumerate()
-        .map(|(w, sim)| WorkerSummary {
-            worker: w,
-            reports: sim.reports,
-            mismatches: sim.mismatches,
-            wall,
-            spans: sim.spans.into_spans(),
-            steps_executed: sim.steps_executed,
-            panicked: None,
-        })
-        .collect();
-    let all: Vec<TaskReport> = summaries
-        .iter()
-        .flat_map(|s| s.reports.iter().cloned())
-        .collect();
-    let metrics = SchedMetrics::from_reports(&all, wall);
-    let out_schedule = Some(StealSchedule {
-        workers,
-        events: recorded,
-    });
-    let pool_spans = crate::pool::pool_metrics_spans(workers, &metrics, record_spans);
-    PoolReport {
-        metrics,
-        workers: summaries,
-        wall,
-        schedule: out_schedule,
-        pool_spans,
-    }
+    let summaries = ws.into_iter().map(|wk| wk.finish(None)).collect();
+    (
+        summaries,
+        Some(StealSchedule {
+            workers: n,
+            events: recorded,
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_pool;
+    use crate::pool::{run_pool, JobSpec, PoolReport};
     use crate::sched::SchedConfig;
 
     fn spin_spec(jobs: usize) -> PoolSpec {

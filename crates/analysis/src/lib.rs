@@ -108,6 +108,9 @@ pub enum ViolationKind {
     OwnedAttachmentInterference,
     /// An instruction belonging to the other mark model.
     WrongMarkModel,
+    /// A `PrimCall` names a primitive that is not inlinable, or passes
+    /// an argument count outside the primitive's arity.
+    IllegalPrimCall,
 }
 
 impl fmt::Display for ViolationKind {
@@ -128,6 +131,7 @@ impl fmt::Display for ViolationKind {
                 "owned attachment interferes with dynamic check"
             }
             ViolationKind::WrongMarkModel => "instruction from the wrong mark model",
+            ViolationKind::IllegalPrimCall => "prim-call outside the inline primitives",
         };
         f.write_str(s)
     }
@@ -499,7 +503,12 @@ impl Verifier {
                     }
                 }
                 Instr::PrimCall(op, argc) => {
-                    need!(u32::from(*argc), op.name());
+                    let def = op.def();
+                    if !def.inlinable() || !def.accepts(usize::from(*argc)) {
+                        let detail = format!("PrimCall of {} with argc {argc}", def.name);
+                        report_once(self, pc, ViolationKind::IllegalPrimCall, detail);
+                    }
+                    need!(u32::from(*argc), def.name);
                     st.depth += 1;
                 }
                 Instr::PushAttach => {
@@ -693,7 +702,7 @@ fn instr_name(i: &Instr) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_vm::{PrimOp, Value};
+    use cm_vm::{NativeId, Value};
     use std::rc::Rc;
 
     fn code(instrs: Vec<Instr>) -> Rc<Code> {
@@ -984,15 +993,40 @@ mod tests {
         let c = code(vec![
             Instr::Const(0),
             Instr::Const(0),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::Return,
         ]);
         verify(&c, MarkModel::Attachments).unwrap();
         let c = code(vec![
             Instr::Const(0),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::Return,
         ]);
         expect_kind(&c, MarkModel::Attachments, ViolationKind::StackUnderflow);
+    }
+
+    #[test]
+    fn prim_call_must_name_an_inline_row_within_its_arity() {
+        let call_cc = code(vec![
+            Instr::Const(0),
+            Instr::PrimCall(NativeId::named("call/cc"), 1),
+            Instr::Return,
+        ]);
+        expect_kind(
+            &call_cc,
+            MarkModel::Attachments,
+            ViolationKind::IllegalPrimCall,
+        );
+        let car_of_two = code(vec![
+            Instr::Const(0),
+            Instr::Const(0),
+            Instr::PrimCall(NativeId::named("car"), 2),
+            Instr::Return,
+        ]);
+        expect_kind(
+            &car_of_two,
+            MarkModel::Attachments,
+            ViolationKind::IllegalPrimCall,
+        );
     }
 }

@@ -39,11 +39,11 @@
 //! The analysis shares the closed-world assumption the cp0 primitive
 //! folder already makes: a global resolved at compile time is assumed
 //! not to be redefined *to an observer* between compilation and the
-//! runs of this code. Control natives (`call/cc`, `dynamic-wind`,
-//! `apply`, prompts), winder installation, and engine suspension
-//! (`%engine-block`) are all treated as observing *and* as potential
-//! observers of every key, which keeps the facts conservative under
-//! continuation re-entry, winder thunks, and suspended-engine resumes.
+//! runs of this code. Observer rows of the primitive table (`call/cc`,
+//! `apply`, prompts, winders, mark readers, `%engine-block`) are all
+//! treated as observing *and* as potential observers of every key,
+//! which keeps the facts conservative under continuation re-entry,
+//! winder thunks, and suspended-engine resumes.
 //! Rewrites are further restricted to sites where the abstract `owned`
 //! counter is positive, so the rewritten code re-verifies under
 //! [`verify`](crate::verify) — soundness by construction.
@@ -52,32 +52,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 use cm_sexpr::Sym;
-use cm_vm::{
-    native_name, prim_attachment_transparent, Code, Globals, Instr, Value, CONTROL_NATIVE_NAMES,
-};
-
-/// Natives beyond [`CONTROL_NATIVE_NAMES`] that read or write attachment
-/// or mark-stack state (or suspend the engine) and therefore make a
-/// caller observing — and, conservatively, potential observers of every
-/// key.
-const SENSITIVE_NATIVE_NAMES: &[&str] = &[
-    "current-continuation-attachments",
-    "$cont-attachments",
-    "$marks-first",
-    "$marks->list",
-    "$eager-mark-set!",
-    "$eager-first",
-    "$eager-marks",
-    "$eager-immediate",
-    "$eager-all-marks",
-    "%engine-block",
-    "$push-winder",
-    "$pop-winder",
-];
-
-fn native_is_sensitive(name: &str) -> bool {
-    CONTROL_NATIVE_NAMES.contains(&name) || SENSITIVE_NATIVE_NAMES.contains(&name)
-}
+use cm_vm::{Code, Globals, Instr, NativeId, Value};
 
 // ----------------------------------------------------------------------
 // Inputs
@@ -309,7 +284,7 @@ impl AbsVal {
 /// A resolved call target.
 enum Resolved {
     Code(Rc<Code>),
-    Native(&'static str),
+    Native(NativeId),
     /// A constant that is not a procedure: the call errors before any
     /// observation can happen.
     NonCallable,
@@ -440,7 +415,7 @@ pub fn analyze(
                 Resolved::Code(c) => {
                     a.trusted.find(c).is_some() || observes[a.index[&Rc::as_ptr(c)]]
                 }
-                Resolved::Native(name) => native_is_sensitive(name),
+                Resolved::Native(id) => id.def().observes_marks(),
                 Resolved::NonCallable => false,
                 Resolved::Unknown => true,
             };
@@ -478,11 +453,7 @@ pub fn analyze(
                     }
                 }
             }
-            Resolved::Native(name) => {
-                if native_is_sensitive(name) {
-                    observes_all_keys = true;
-                }
-            }
+            Resolved::Native(id) => observes_all_keys |= id.def().observes_marks(),
             Resolved::NonCallable => {}
             Resolved::Unknown => observes_all_keys = true,
         }
@@ -519,7 +490,7 @@ pub fn analyze(
                     observes[a.index[&Rc::as_ptr(c)]],
                 ),
             },
-            Resolved::Native(name) => (format!("native:{name}"), native_is_sensitive(name)),
+            Resolved::Native(id) => (format!("native:{}", id.name()), id.def().observes_marks()),
             Resolved::NonCallable => ("non-callable".to_owned(), false),
             Resolved::Unknown => ("unknown".to_owned(), true),
         };
@@ -764,9 +735,7 @@ impl<'a> Analyzer<'a> {
                     }
                     Instr::Return => break,
                     Instr::PrimCall(op, argc) => {
-                        if !prim_attachment_transparent(*op) {
-                            own_observing = true;
-                        }
+                        own_observing |= op.def().observes_marks();
                         for _ in 0..*argc {
                             st.pop();
                         }
@@ -855,7 +824,7 @@ impl<'a> Analyzer<'a> {
 fn resolve_value(v: &Value) -> Resolved {
     match v {
         Value::Closure(cl) => Resolved::Code(cl.code()),
-        Value::Native(id) => Resolved::Native(native_name(*id)),
+        Value::Native(id) => Resolved::Native(*id),
         // A stored continuation is callable and re-enters arbitrary
         // code: unknown.
         Value::Cont(_) => Resolved::Unknown,

@@ -9,7 +9,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use cm_sexpr::Sym;
-use cm_vm::{PrimOp, Value};
+use cm_vm::{Cp0Rule, NativeId, PrimClass, Value};
 
 /// A unique local-variable id assigned by the expander.
 pub type VarId = u32;
@@ -49,8 +49,8 @@ pub enum Expr {
     },
     /// A recognized primitive application (inlined by codegen).
     PrimApp {
-        /// The operation.
-        op: PrimOp,
+        /// The primitive: an inline row of the primitive table.
+        op: NativeId,
         /// Operands.
         rands: Vec<Expr>,
     },
@@ -132,7 +132,10 @@ impl Expr {
                 bindings.iter().all(|(_, e)| e.is_pure()) && body.is_pure()
             }
             Expr::PrimApp { op, rands } => {
-                prim_is_effect_free(*op) && rands.iter().all(Expr::is_pure)
+                matches!(
+                    op.def().class,
+                    PrimClass::Inline(Cp0Rule::Fold | Cp0Rule::Drop)
+                ) && rands.iter().all(Expr::is_pure)
             }
             _ => false,
         }
@@ -142,10 +145,8 @@ impl Expr {
     /// observer could distinguish an extra continuation frame around it.
     /// Conservative. Calls are opaque (the callee might inspect its
     /// immediate attachment); attachment operations are opaque by
-    /// definition; recognized primitives defer to the per-`PrimOp`
-    /// transparency table in `cm_vm::prim_attachment_transparent`, the
-    /// single source of truth shared with the interprocedural mark-flow
-    /// analysis.
+    /// definition; recognized primitives defer to their row's class in
+    /// the primitive table, which the mark-flow analysis also reads.
     pub fn attachment_transparent(&self) -> bool {
         match self {
             Expr::Quote(_) | Expr::LocalRef(_) | Expr::GlobalRef(_) | Expr::Lambda(_) => true,
@@ -161,8 +162,7 @@ impl Expr {
             }
             Expr::SetLocal(_, e) | Expr::SetGlobal(_, e) => e.attachment_transparent(),
             Expr::PrimApp { op, rands } => {
-                cm_vm::prim_attachment_transparent(*op)
-                    && rands.iter().all(Expr::attachment_transparent)
+                !op.def().observes_marks() && rands.iter().all(Expr::attachment_transparent)
             }
             Expr::Call { .. }
             | Expr::Wcm { .. }
@@ -238,26 +238,6 @@ impl Expr {
     }
 }
 
-/// Whether a primitive has no side effects (safe to fold or drop).
-pub fn prim_is_effect_free(op: PrimOp) -> bool {
-    !matches!(
-        op,
-        PrimOp::SetCar | PrimOp::SetCdr | PrimOp::VectorSet | PrimOp::SetBox
-    )
-}
-
-/// Whether a primitive is safe to constant-fold at compile time (pure and
-/// deterministic on its arguments).
-pub fn prim_is_foldable(op: PrimOp) -> bool {
-    // Allocation primitives (cons, make-vector, box) are effect-free but
-    // folding them would share what should be fresh mutable structure.
-    prim_is_effect_free(op)
-        && !matches!(
-            op,
-            PrimOp::Cons | PrimOp::MakeVector | PrimOp::BoxNew | PrimOp::VectorRef | PrimOp::Unbox
-        )
-}
-
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -281,10 +261,13 @@ mod tests {
 
     #[test]
     fn prim_purity() {
-        assert!(prim_is_effect_free(PrimOp::Add));
-        assert!(!prim_is_effect_free(PrimOp::SetCar));
-        assert!(prim_is_foldable(PrimOp::Add));
-        assert!(!prim_is_foldable(PrimOp::Cons));
+        let app = |name| Expr::PrimApp {
+            op: NativeId::named(name),
+            rands: vec![Expr::Quote(Value::fixnum(1))],
+        };
+        assert!(app("car").is_pure());
+        assert!(app("box").is_pure());
+        assert!(!app("set-box!").is_pure());
     }
 
     #[test]
@@ -295,7 +278,7 @@ mod tests {
         };
         assert!(!call.attachment_transparent());
         let prim = Expr::PrimApp {
-            op: PrimOp::Add,
+            op: NativeId::named("+"),
             rands: vec![Expr::Quote(Value::fixnum(1))],
         };
         assert!(prim.attachment_transparent());

@@ -13,9 +13,9 @@
 use std::collections::{HashMap, HashSet};
 
 use cm_sexpr::Sym;
-use cm_vm::{PrimOp, Value};
+use cm_vm::{Cp0Rule, PrimClass, Value};
 
-use crate::ast::{prim_is_foldable, Expr, LambdaExpr, TopForm, VarId};
+use crate::ast::{Expr, LambdaExpr, TopForm, VarId};
 
 /// Options for the optimizer.
 #[derive(Debug, Clone, Copy)]
@@ -61,74 +61,21 @@ pub fn user_defined_names(forms: &[TopForm]) -> HashSet<Sym> {
     out
 }
 
-/// The primitive-recognition table: global name → inlinable [`PrimOp`]
-/// with its accepted argument-count range.
-pub fn prim_table() -> &'static [(&'static str, PrimOp, usize, Option<usize>)] {
-    use PrimOp::*;
-    &[
-        ("+", Add, 0, None),
-        ("-", Sub, 1, None),
-        ("*", Mul, 0, None),
-        ("/", Div, 1, None),
-        ("quotient", Quotient, 2, Some(2)),
-        ("remainder", Remainder, 2, Some(2)),
-        ("modulo", Modulo, 2, Some(2)),
-        ("=", NumEq, 2, None),
-        ("<", Lt, 2, None),
-        ("<=", Le, 2, None),
-        (">", Gt, 2, None),
-        (">=", Ge, 2, None),
-        ("add1", Add1, 1, Some(1)),
-        ("sub1", Sub1, 1, Some(1)),
-        ("1+", Add1, 1, Some(1)),
-        ("1-", Sub1, 1, Some(1)),
-        ("zero?", ZeroP, 1, Some(1)),
-        ("cons", Cons, 2, Some(2)),
-        ("car", Car, 1, Some(1)),
-        ("cdr", Cdr, 1, Some(1)),
-        ("set-car!", SetCar, 2, Some(2)),
-        ("set-cdr!", SetCdr, 2, Some(2)),
-        ("pair?", PairP, 1, Some(1)),
-        ("null?", NullP, 1, Some(1)),
-        ("eq?", EqP, 2, Some(2)),
-        ("eqv?", EqvP, 2, Some(2)),
-        ("not", Not, 1, Some(1)),
-        ("symbol?", SymbolP, 1, Some(1)),
-        ("procedure?", ProcedureP, 1, Some(1)),
-        ("fixnum?", FixnumP, 1, Some(1)),
-        ("flonum?", FlonumP, 1, Some(1)),
-        ("boolean?", BooleanP, 1, Some(1)),
-        ("string?", StringP, 1, Some(1)),
-        ("vector?", VectorP, 1, Some(1)),
-        ("char?", CharP, 1, Some(1)),
-        ("vector-ref", VectorRef, 2, Some(2)),
-        ("vector-set!", VectorSet, 3, Some(3)),
-        ("vector-length", VectorLength, 1, Some(1)),
-        ("make-vector", MakeVector, 1, Some(2)),
-        ("box", BoxNew, 1, Some(1)),
-        ("unbox", Unbox, 1, Some(1)),
-        ("set-box!", SetBox, 2, Some(2)),
-    ]
-}
-
-/// Rewrites calls to well-known globals into [`Expr::PrimApp`].
+/// Rewrites calls to the inline rows of the primitive table, with an
+/// argument count the row accepts, into [`Expr::PrimApp`].
 pub fn recognize_prims(e: Expr, user_defined: &HashSet<Sym>) -> Expr {
     map_expr(e, &mut |e| {
         if let Expr::Call { rator, rands } = &e {
             if let Expr::GlobalRef(s) = **rator {
-                if !user_defined.contains(&s) {
-                    for (name, op, min, max) in prim_table() {
-                        if s.name() == *name
-                            && rands.len() >= *min
-                            && max.is_none_or(|m| rands.len() <= m)
-                            && rands.len() <= u8::MAX as usize
-                        {
-                            let Expr::Call { rands, .. } = e else {
-                                unreachable!()
-                            };
-                            return Expr::PrimApp { op: *op, rands };
-                        }
-                    }
+                let inline = cm_vm::lookup_native(s).filter(|op| {
+                    let def = op.def();
+                    def.inlinable() && def.accepts(rands.len()) && rands.len() <= u8::MAX as usize
+                });
+                if let Some(op) = inline.filter(|_| !user_defined.contains(&s)) {
+                    let Expr::Call { rands, .. } = e else {
+                        unreachable!()
+                    };
+                    return Expr::PrimApp { op, rands };
                 }
             }
         }
@@ -247,7 +194,8 @@ fn simplify(e: Expr, opts: &Cp0Options) -> Expr {
             }
         }
         Expr::PrimApp { op, rands } => {
-            if prim_is_foldable(op) && rands.iter().all(|r| matches!(r, Expr::Quote(_))) {
+            let foldable = op.def().class == PrimClass::Inline(Cp0Rule::Fold);
+            if foldable && rands.iter().all(|r| matches!(r, Expr::Quote(_))) {
                 let args: Vec<Value> = rands
                     .iter()
                     .map(|r| match r {
@@ -255,7 +203,7 @@ fn simplify(e: Expr, opts: &Cp0Options) -> Expr {
                         _ => unreachable!(),
                     })
                     .collect();
-                if let Ok(v) = cm_vm::prim_op_value(op, &args) {
+                if let Ok(v) = op.def().apply(&args) {
                     return Expr::Quote(v);
                 }
             }

@@ -17,10 +17,15 @@
 use std::collections::HashSet;
 
 use cm_sexpr::sym;
-use cm_vm::{PrimOp, Value};
+use cm_vm::{NativeId, Value};
 
 use crate::ast::{Expr, LambdaExpr, VarId};
 use crate::CompilerConfig;
+
+/// The box primitives assignment conversion emits.
+const BOX: NativeId = NativeId::named("box");
+const UNBOX: NativeId = NativeId::named("unbox");
+const SET_BOX: NativeId = NativeId::named("set-box!");
 
 /// A monotone counter for fresh [`VarId`]s, threaded through the passes.
 #[derive(Debug)]
@@ -183,13 +188,13 @@ fn convert_assignments(e: Expr, vars: &mut VarSupply) -> Expr {
 fn convert(e: Expr, boxed: &HashSet<VarId>, vars: &mut VarSupply) -> Expr {
     match e {
         Expr::LocalRef(v) if boxed.contains(&v) => Expr::PrimApp {
-            op: PrimOp::Unbox,
+            op: UNBOX,
             rands: vec![Expr::LocalRef(v)],
         },
         Expr::SetLocal(v, rhs) => {
             debug_assert!(boxed.contains(&v));
             Expr::PrimApp {
-                op: PrimOp::SetBox,
+                op: SET_BOX,
                 rands: vec![Expr::LocalRef(v), convert(*rhs, boxed, vars)],
             }
         }
@@ -202,7 +207,7 @@ fn convert(e: Expr, boxed: &HashSet<VarId>, vars: &mut VarSupply) -> Expr {
                         (
                             v,
                             Expr::PrimApp {
-                                op: PrimOp::BoxNew,
+                                op: BOX,
                                 rands: vec![init],
                             },
                         )
@@ -225,7 +230,7 @@ fn convert(e: Expr, boxed: &HashSet<VarId>, vars: &mut VarSupply) -> Expr {
                     rebinds.push((
                         p,
                         Expr::PrimApp {
-                            op: PrimOp::BoxNew,
+                            op: BOX,
                             rands: vec![Expr::LocalRef(fresh)],
                         },
                     ));
@@ -239,7 +244,7 @@ fn convert(e: Expr, boxed: &HashSet<VarId>, vars: &mut VarSupply) -> Expr {
                     rebinds.push((
                         r,
                         Expr::PrimApp {
-                            op: PrimOp::BoxNew,
+                            op: BOX,
                             rands: vec![Expr::LocalRef(fresh)],
                         },
                     ));
@@ -278,7 +283,7 @@ fn convert(e: Expr, boxed: &HashSet<VarId>, vars: &mut VarSupply) -> Expr {
                         bindings: vec![(
                             var,
                             Expr::PrimApp {
-                                op: PrimOp::BoxNew,
+                                op: BOX,
                                 rands: vec![Expr::LocalRef(fresh)],
                             },
                         )],
@@ -482,22 +487,13 @@ mod tests {
         let Expr::Let { bindings, body } = &e else {
             panic!("{e:?}")
         };
-        assert!(matches!(
-            bindings[0].1,
-            Expr::PrimApp {
-                op: PrimOp::BoxNew,
-                ..
-            }
-        ));
+        assert!(matches!(bindings[0].1, Expr::PrimApp { op: BOX, .. }));
         let Expr::Seq(es) = &**body else {
             panic!("{e:?}")
         };
         assert!(matches!(
             es.last().unwrap(),
-            Expr::PrimApp {
-                op: PrimOp::Unbox,
-                ..
-            }
+            Expr::PrimApp { op: UNBOX, .. }
         ));
     }
 

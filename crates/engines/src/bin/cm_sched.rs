@@ -22,9 +22,11 @@
 //! (runtime error, injected fault, heap limit, deadline) restarts from
 //! its last checkpoint with exponential backoff instead of retiring.
 //! `--fail-prim-at N` arms deterministic fault injection on every
-//! engine, which together with `--checkpoint` demonstrates end-to-end
-//! crash recovery: the run exits zero only when every task still
-//! completes with the expected result.
+//! engine: each task fails its Nth primitive call, counted across all of
+//! its slices (a task restored from a checkpoint or migrated starts a
+//! fresh count). Together with `--checkpoint` this demonstrates
+//! end-to-end crash recovery: the run exits zero only when every task
+//! still completes with the expected result.
 //!
 //! Every task is one engine: a §2 example or a small-scale workload
 //! entry, compiled against its worker's shared globals and preempted
@@ -122,7 +124,9 @@ const USAGE: &str = "usage: cm-sched [--quick] [--tasks N] [--workers N] [--slic
   --pool-budget-mb N  admit no more queued tasks while a worker's live
                     heap exceeds this budget (backpressure)
   --fail-prim-at N  arm fault injection: every engine fails its Nth
-                    primitive call (pairs with --checkpoint for recovery)
+                    primitive call, counted across its slices; a restored
+                    engine counts afresh (pairs with --checkpoint for
+                    recovery)
   --steal           work-stealing pool: idle workers take fresh jobs from
                     the back of other workers' queues
   --migrate         with --steal: also migrate *started* engines via the

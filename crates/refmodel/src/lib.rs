@@ -37,7 +37,7 @@ use std::rc::Rc;
 use cm_compiler::ast::{Expr, LambdaExpr, TopForm, VarId};
 use cm_compiler::expand::Expander;
 use cm_sexpr::Sym;
-use cm_vm::{prim_op_value, PrimOp, Value};
+use cm_vm::{NativeId, Value};
 
 /// An error from the reference interpreter.
 #[derive(Debug, Clone)]
@@ -75,12 +75,11 @@ fn fail<T>(msg: impl Into<String>) -> R<T> {
 /// Built-in procedures the model understands directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Builtin {
-    Prim(PrimOp),
+    Prim(NativeId),
     CallCc,
     DynamicWind,
     MarkList,
     MarkFirst,
-    List,
     Error,
 }
 
@@ -253,7 +252,7 @@ enum KKind {
         done: Vec<RV>,
         pending: Vec<Rc<Expr>>,
         env: Env,
-        prim: Option<PrimOp>,
+        prim: Option<NativeId>,
     },
     /// Waiting for a `set!` value.
     Set { cell: Rc<EnvNode> },
@@ -362,8 +361,8 @@ impl RefInterp {
     /// Creates an interpreter with the built-ins installed.
     pub fn new() -> RefInterp {
         let mut globals = HashMap::new();
-        for (name, op, _, _) in cm_compiler::cp0::prim_table() {
-            globals.insert(cm_sexpr::sym(name), RV::Builtin(Builtin::Prim(*op)));
+        for (op, def) in cm_vm::natives().filter(|(_, def)| def.inlinable()) {
+            globals.insert(cm_sexpr::sym(def.name), RV::Builtin(Builtin::Prim(op)));
         }
         for (name, b) in [
             ("call/cc", Builtin::CallCc),
@@ -371,7 +370,7 @@ impl RefInterp {
             ("dynamic-wind", Builtin::DynamicWind),
             ("mark-list", Builtin::MarkList),
             ("mark-first", Builtin::MarkFirst),
-            ("list", Builtin::List),
+            ("list", Builtin::Prim(NativeId::named("list"))),
             ("error", Builtin::Error),
         ] {
             globals.insert(cm_sexpr::sym(name), RV::Builtin(b));
@@ -756,7 +755,7 @@ impl RefInterp {
         }
     }
 
-    fn apply(&mut self, mut vals: Vec<RV>, prim: Option<PrimOp>, kont: &mut Kont) -> R<Applied> {
+    fn apply(&mut self, mut vals: Vec<RV>, prim: Option<NativeId>, kont: &mut Kont) -> R<Applied> {
         if let Some(op) = prim {
             return Ok(Applied::Value(apply_prim(op, &vals)?));
         }
@@ -816,13 +815,6 @@ impl RefInterp {
             }
             RV::Builtin(b) => match b {
                 Builtin::Prim(op) => Ok(Applied::Value(apply_prim(op, &args)?)),
-                Builtin::List => {
-                    let mut lst = Value::Nil;
-                    for v in args.into_iter().rev() {
-                        lst = Value::cons(v.as_data("list")?, lst);
-                    }
-                    Ok(Applied::Value(RV::Data(lst)))
-                }
                 Builtin::CallCc => {
                     if args.len() != 1 {
                         return fail("call/cc: expected 1 argument");
@@ -891,12 +883,13 @@ enum Applied {
     Enter(Rc<Expr>, Env),
 }
 
-fn apply_prim(op: PrimOp, args: &[RV]) -> R<RV> {
+fn apply_prim(op: NativeId, args: &[RV]) -> R<RV> {
     let data: Vec<Value> = args
         .iter()
         .map(|a| a.as_data(op.name()))
         .collect::<R<Vec<_>>>()?;
-    prim_op_value(op, &data)
+    op.def()
+        .apply(&data)
         .map(RV::Data)
         .map_err(|e| RefError(e.to_string()))
 }

@@ -10,214 +10,8 @@
 use std::fmt;
 use std::rc::Rc;
 
+use crate::prims::NativeId;
 use crate::values::Value;
-
-/// An inlined primitive operation known to the compiler.
-///
-/// Everything in this enum is *attachment-transparent*: it neither calls
-/// arbitrary code nor inspects continuation attachments. That property is
-/// exactly what the paper's "no prim" ablation (§8.5) toggles: with the
-/// optimization on, the compiler may treat a body built from these
-/// operations as needing no continuation reification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimOp {
-    /// `+` (n-ary)
-    Add,
-    /// `-` (n-ary, unary negates)
-    Sub,
-    /// `*` (n-ary)
-    Mul,
-    /// `/` on flonums, error on inexact division of fixnums
-    Div,
-    /// `quotient`
-    Quotient,
-    /// `remainder`
-    Remainder,
-    /// `modulo`
-    Modulo,
-    /// `=` (binary)
-    NumEq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `add1`
-    Add1,
-    /// `sub1`
-    Sub1,
-    /// `zero?`
-    ZeroP,
-    /// `cons`
-    Cons,
-    /// `car`
-    Car,
-    /// `cdr`
-    Cdr,
-    /// `set-car!`
-    SetCar,
-    /// `set-cdr!`
-    SetCdr,
-    /// `pair?`
-    PairP,
-    /// `null?`
-    NullP,
-    /// `eq?`
-    EqP,
-    /// `eqv?` (same as `eq?` here; flonums compare by bits)
-    EqvP,
-    /// `not`
-    Not,
-    /// `symbol?`
-    SymbolP,
-    /// `procedure?`
-    ProcedureP,
-    /// `fixnum?` / `integer?`
-    FixnumP,
-    /// `flonum?`
-    FlonumP,
-    /// `boolean?`
-    BooleanP,
-    /// `string?`
-    StringP,
-    /// `vector?`
-    VectorP,
-    /// `char?`
-    CharP,
-    /// `vector-ref`
-    VectorRef,
-    /// `vector-set!`
-    VectorSet,
-    /// `vector-length`
-    VectorLength,
-    /// `make-vector`
-    MakeVector,
-    /// `box`
-    BoxNew,
-    /// `unbox`
-    Unbox,
-    /// `set-box!`
-    SetBox,
-}
-
-impl PrimOp {
-    /// Every primitive, in declaration order, so `ALL[op as usize] == op`.
-    /// The snapshot codec serializes a `PrimCall`'s operation as its
-    /// discriminant byte and decodes it through this table (an
-    /// out-of-range byte is a typed decode error, never a panic).
-    pub const ALL: [PrimOp; 40] = [
-        PrimOp::Add,
-        PrimOp::Sub,
-        PrimOp::Mul,
-        PrimOp::Div,
-        PrimOp::Quotient,
-        PrimOp::Remainder,
-        PrimOp::Modulo,
-        PrimOp::NumEq,
-        PrimOp::Lt,
-        PrimOp::Le,
-        PrimOp::Gt,
-        PrimOp::Ge,
-        PrimOp::Add1,
-        PrimOp::Sub1,
-        PrimOp::ZeroP,
-        PrimOp::Cons,
-        PrimOp::Car,
-        PrimOp::Cdr,
-        PrimOp::SetCar,
-        PrimOp::SetCdr,
-        PrimOp::PairP,
-        PrimOp::NullP,
-        PrimOp::EqP,
-        PrimOp::EqvP,
-        PrimOp::Not,
-        PrimOp::SymbolP,
-        PrimOp::ProcedureP,
-        PrimOp::FixnumP,
-        PrimOp::FlonumP,
-        PrimOp::BooleanP,
-        PrimOp::StringP,
-        PrimOp::VectorP,
-        PrimOp::CharP,
-        PrimOp::VectorRef,
-        PrimOp::VectorSet,
-        PrimOp::VectorLength,
-        PrimOp::MakeVector,
-        PrimOp::BoxNew,
-        PrimOp::Unbox,
-        PrimOp::SetBox,
-    ];
-
-    /// The Scheme-level name of the primitive.
-    pub fn name(self) -> &'static str {
-        use PrimOp::*;
-        match self {
-            Add => "+",
-            Sub => "-",
-            Mul => "*",
-            Div => "/",
-            Quotient => "quotient",
-            Remainder => "remainder",
-            Modulo => "modulo",
-            NumEq => "=",
-            Lt => "<",
-            Le => "<=",
-            Gt => ">",
-            Ge => ">=",
-            Add1 => "add1",
-            Sub1 => "sub1",
-            ZeroP => "zero?",
-            Cons => "cons",
-            Car => "car",
-            Cdr => "cdr",
-            SetCar => "set-car!",
-            SetCdr => "set-cdr!",
-            PairP => "pair?",
-            NullP => "null?",
-            EqP => "eq?",
-            EqvP => "eqv?",
-            Not => "not",
-            SymbolP => "symbol?",
-            ProcedureP => "procedure?",
-            FixnumP => "fixnum?",
-            FlonumP => "flonum?",
-            BooleanP => "boolean?",
-            StringP => "string?",
-            VectorP => "vector?",
-            CharP => "char?",
-            VectorRef => "vector-ref",
-            VectorSet => "vector-set!",
-            VectorLength => "vector-length",
-            MakeVector => "make-vector",
-            BoxNew => "box",
-            Unbox => "unbox",
-            SetBox => "set-box!",
-        }
-    }
-
-    /// The argument-count range `(min, max)` this primitive accepts
-    /// (`None` = variadic). The machine enforces this before dispatching,
-    /// so a `PrimCall` with a bad operand count fails cleanly even for
-    /// bytecode the verifier never saw.
-    pub fn arity(self) -> (u8, Option<u8>) {
-        use PrimOp::*;
-        match self {
-            Add | Mul => (0, None),
-            Sub | Div => (1, None),
-            NumEq | Lt | Le | Gt | Ge => (2, None),
-            Quotient | Remainder | Modulo | Cons | SetCar | SetCdr | EqP | EqvP | VectorRef
-            | SetBox => (2, Some(2)),
-            VectorSet => (3, Some(3)),
-            MakeVector => (1, Some(2)),
-            Add1 | Sub1 | ZeroP | Car | Cdr | PairP | NullP | Not | SymbolP | ProcedureP
-            | FixnumP | FlonumP | BooleanP | StringP | VectorP | CharP | VectorLength | BoxNew
-            | Unbox => (1, Some(1)),
-        }
-    }
-}
 
 /// A machine instruction.
 ///
@@ -265,8 +59,11 @@ pub enum Instr {
     CallWithAttachment(u16),
     /// Return the top of stack to the caller (possibly via underflow).
     Return,
-    /// Inlined primitive: pops `argc` arguments, pushes the result.
-    PrimCall(PrimOp, u8),
+    /// Inlined primitive: applies the Pure function of an inline row of
+    /// the primitive table to the top `argc` values and replaces them
+    /// with the result. The verifier admits only inline rows, with `argc`
+    /// inside the row's arity.
+    PrimCall(NativeId, u8),
     /// Pop `v`; `marks := (cons v marks)`. Case (c) entry: a conceptual
     /// frame with no function call, handled by direct push/pop.
     PushAttach,
@@ -440,47 +237,23 @@ impl fmt::Display for Code {
     }
 }
 
-/// Ids for natives that need machine-level control (defined here so
-/// `cm-compiler` can reference them without depending on primitive
-/// implementation details).
-pub mod control {
-    /// Names of the control natives registered by the machine; the
-    /// compiler treats these as *attachment-sensitive* (they defeat the
-    /// "no prim" optimization by definition).
-    pub const CONTROL_NATIVE_NAMES: &[&str] = &[
-        "call/cc",
-        "call-with-current-continuation",
-        "call/1cc",
-        "apply",
-        "dynamic-wind",
-        "%call-with-prompt",
-        "%abort",
-        "%call-with-composable-continuation",
-        "$call-setting-attachment",
-        "$call-getting-attachment",
-        "$call-consuming-attachment",
-    ];
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn prim_names_cover_all_ops() {
-        assert_eq!(PrimOp::Add.name(), "+");
-        assert_eq!(PrimOp::VectorSet.name(), "vector-set!");
-    }
-
-    #[test]
-    fn all_table_matches_discriminants() {
-        for (i, op) in PrimOp::ALL.iter().enumerate() {
-            assert_eq!(*op as usize, i, "ALL[{i}] is {op:?}");
-        }
-        let mut seen = std::collections::HashSet::new();
-        for op in PrimOp::ALL {
-            assert!(seen.insert(op.name()), "duplicate entry {op:?}");
-        }
+        let code = Code::build(
+            "t",
+            0,
+            false,
+            vec![Instr::PrimCall(NativeId::named("vector-set!"), 3)],
+            vec![],
+            vec![],
+        );
+        assert!(code
+            .disassemble()
+            .contains("prim         vector-set! argc=3"));
     }
 
     #[test]

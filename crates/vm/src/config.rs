@@ -27,9 +27,10 @@ pub enum MarkModel {
 /// [`MachineConfig::segment_frame_limit`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Fail the nth (0-based, counted per top-level run) primitive or
-    /// native call with
-    /// [`VmErrorKind::InjectedFault`](crate::VmErrorKind).
+    /// Fail the nth (0-based) primitive or native call of a top-level run
+    /// with [`VmErrorKind::InjectedFault`](crate::VmErrorKind). The count
+    /// runs across a sliced run's slices; a run restored from a snapshot
+    /// starts a fresh count.
     pub fail_prim_at: Option<u64>,
     /// Take the clone (multi-shot) path on every underflow, even where
     /// one-shot fusion would fire — exercises the copy path with the
@@ -63,9 +64,10 @@ pub struct MachineConfig {
     /// Optional step budget; `None` means unlimited. Useful for tests that
     /// must terminate even if a program loops.
     pub fuel: Option<u64>,
-    /// Optional wall-clock budget per top-level run; `None` means
-    /// unlimited. Checked every few thousand steps, so very short
-    /// deadlines overshoot by a bounded amount.
+    /// Optional wall-clock budget per top-level run, sliced or not;
+    /// `None` means unlimited. A run restored from a snapshot starts a
+    /// fresh budget. Checked every 1024 steps, so very short deadlines
+    /// overshoot by a bounded amount.
     pub deadline: Option<Duration>,
     /// Maximum depth of nested executions. Winder thunks (and anything
     /// else entering the interpreter from inside the interpreter) recurse

@@ -78,6 +78,9 @@ pub enum VmErrorKind {
         /// The 0-based primitive-call index that faulted.
         at: u64,
     },
+    /// An `Instr::PrimCall` named a primitive without a Pure function;
+    /// only bytecode the verifier never saw can do that.
+    NotInlinable(&'static str),
     /// An uncaught Scheme-level error raised by the `error` primitive (or
     /// escaped `raise`), carrying the raised payload rendering.
     SchemeError(String),
@@ -121,6 +124,7 @@ impl fmt::Display for VmErrorKind {
                     "injected fault at primitive boundary {site} (call #{at})"
                 )
             }
+            VmErrorKind::NotInlinable(who) => write!(f, "{who}: not an inlinable primitive"),
             VmErrorKind::SchemeError(msg) => write!(f, "error: {msg}"),
             VmErrorKind::Internal { site, detail } => {
                 write!(f, "internal invariant violated at {site}: {detail}")

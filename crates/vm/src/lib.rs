@@ -35,7 +35,7 @@
 //! let code = Code::build("main", 0, false, vec![
 //!     Instr::Const(0),
 //!     Instr::Const(1),
-//!     Instr::PrimCall(cm_vm::PrimOp::Add, 2),
+//!     Instr::PrimCall(cm_vm::NativeId::named("+"), 2),
 //!     Instr::Return,
 //! ], vec![Value::fixnum(40), Value::fixnum(2)], vec![]);
 //! let mut m = Machine::new(Default::default());
@@ -53,8 +53,7 @@ mod stats;
 mod trace;
 mod values;
 
-pub use code::control::CONTROL_NATIVE_NAMES;
-pub use code::{Code, Instr, PrimOp};
+pub use code::{Code, Instr};
 pub use config::{FaultPlan, MachineConfig, MarkModel, DEFAULT_TRACE_CAPACITY};
 pub use error::{BacktraceFrame, VmBacktrace, VmError, VmErrorKind, VmResult};
 pub use heap::{
@@ -62,10 +61,7 @@ pub use heap::{
     RootGuard, Rooted,
 };
 pub use machine::{Globals, Machine, RestoredRun, RunStatus, SnapshotError, SuspendedRun};
-pub use prims::{
-    lookup as lookup_native, native_name, prim_attachment_transparent, prim_op as prim_op_value,
-    NativeId,
-};
+pub use prims::{all as natives, lookup as lookup_native, Cp0Rule, NativeDef, NativeId, PrimClass};
 pub use stats::MachineStats;
 pub use trace::{TraceEvent, TraceJournal, TraceKind, TRACE_KIND_COUNT};
 pub use values::{Closure, EqKey, RecordData, Value};

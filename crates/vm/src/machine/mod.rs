@@ -188,6 +188,10 @@ pub struct SuspendedRun {
     winders: Vec<Winder>,
     /// Prompt boundaries at suspension.
     meta: Vec<MetaFrame>,
+    /// Primitive calls so far in this run, across its slices.
+    prim_count: u64,
+    /// The run's wall-clock cutoff, armed when the run began.
+    deadline_at: Option<Instant>,
     /// Keeps every value frozen in this run registered as a GC root: a
     /// suspended engine's state survives collections triggered by other
     /// runs on the same thread, and resumes bit-identical.
@@ -498,6 +502,9 @@ impl Machine {
 
     /// Resumes a [`SuspendedRun`] for at most `slice` further steps.
     ///
+    /// The primitive-call count and the deadline continue from the run's
+    /// earlier slices: both limits are per run, not per slice.
+    ///
     /// When the suspension was undisturbed (the default configuration:
     /// one-shot fusion on, no forced clone), the frozen frames are fused
     /// back — moved, not copied — exactly like an opportunistic one-shot
@@ -519,8 +526,12 @@ impl Machine {
             base_marks,
             winders,
             meta,
+            prim_count,
+            deadline_at,
             _roots,
         } = run;
+        self.prim_count = prim_count;
+        self.deadline_at = deadline_at;
         self.base_marks = base_marks;
         self.winders = winders;
         self.meta = meta;
@@ -608,6 +619,8 @@ impl Machine {
                     base_marks,
                     winders,
                     meta,
+                    prim_count: self.prim_count,
+                    deadline_at: self.deadline_at,
                     _roots: heap::add_extra_roots(roots),
                 };
                 self.marks = Value::Nil;
@@ -1085,7 +1098,7 @@ impl Machine {
         args: Vec<Value>,
         mode: CallMode,
     ) -> VmResult<Option<Value>> {
-        let def = prims::def(id);
+        let def = id.def();
         def.check_arity(args.len())?;
         self.note_prim_call(def.name)?;
         match def.imp {
@@ -2433,7 +2446,7 @@ fn cons_prefix(prefix: &[Value], tail: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::{Instr, PrimOp};
+    use crate::code::Instr;
 
     fn run(instrs: Vec<Instr>, consts: Vec<Value>) -> Rooted {
         let code = Code::build("test", 0, false, instrs, consts, vec![]);
@@ -2463,7 +2476,7 @@ mod tests {
             vec![
                 Instr::Const(0),
                 Instr::GlobalRef(gid),
-                Instr::PrimCall(PrimOp::Cons, 2),
+                Instr::PrimCall(NativeId::named("cons"), 2),
                 Instr::GlobalSet(gid),
                 Instr::Jump(0),
             ],
@@ -2499,12 +2512,34 @@ mod tests {
             vec![
                 Instr::Const(0),
                 Instr::Const(1),
-                Instr::PrimCall(PrimOp::Add, 2),
+                Instr::PrimCall(NativeId::named("+"), 2),
                 Instr::Return,
             ],
             vec![Value::fixnum(40), Value::fixnum(2)],
         );
         assert!(v.eq_value(&Value::fixnum(42)));
+    }
+
+    #[test]
+    fn prim_call_of_a_row_without_a_pure_function_is_refused() {
+        // Unverified code can name any row; only Pure rows run inline.
+        let code = Code::build(
+            "display-inline",
+            0,
+            false,
+            vec![
+                Instr::Const(0),
+                Instr::PrimCall(NativeId::named("display"), 1),
+                Instr::Return,
+            ],
+            vec![Value::fixnum(1)],
+            vec![],
+        );
+        let mut m = Machine::new(MachineConfig::default());
+        let err = m.run_code(code).expect_err("display is not inlinable");
+        assert_eq!(err.kind, VmErrorKind::NotInlinable("display"));
+        assert!(m.is_idle());
+        assert_eq!(m.take_output(), "");
     }
 
     #[test]
@@ -2609,15 +2644,70 @@ mod tests {
     }
 
     #[test]
+    fn sliced_run_counts_fault_injection_per_run() {
+        // One primitive call per five-step iteration: a 100-step slice
+        // makes 20, so call #50 falls in the third slice.
+        let code = Code::build(
+            "count",
+            0,
+            false,
+            vec![
+                Instr::Const(0),
+                Instr::Const(0),
+                Instr::PrimCall(NativeId::named("+"), 2),
+                Instr::Pop,
+                Instr::Jump(0),
+            ],
+            vec![Value::fixnum(1)],
+            vec![],
+        );
+        let mut config = MachineConfig::default();
+        config.fault_plan.fail_prim_at = Some(50);
+        let mut m = Machine::new(config);
+        let mut status = m.run_code_sliced(code, 100);
+        for _ in 0..10 {
+            match status {
+                Ok(RunStatus::Suspended(run)) => status = m.resume(run, 100),
+                Ok(RunStatus::Done(v)) => panic!("loop finished: {v:?}"),
+                Err(e) => {
+                    assert!(
+                        matches!(e.kind, VmErrorKind::InjectedFault { at: 50, .. }),
+                        "{e}"
+                    );
+                    return;
+                }
+            }
+        }
+        panic!("no injected fault in ten slices");
+    }
+
+    #[test]
+    fn resumed_run_keeps_its_deadline() {
+        let code = Code::build("loop", 0, false, vec![Instr::Jump(0)], vec![], vec![]);
+        let deadline = std::time::Duration::from_millis(20);
+        let mut m = Machine::new(MachineConfig::default().with_deadline(deadline));
+        let Ok(RunStatus::Suspended(run)) = m.run_code_sliced(code, 10) else {
+            panic!("expected the first slice to suspend");
+        };
+        std::thread::sleep(deadline + deadline / 2);
+        // The deadline is polled every 1024 steps; this slice runs more.
+        match m.resume(run, 100_000) {
+            Err(e) => assert_eq!(e.kind, VmErrorKind::DeadlineExceeded),
+            Ok(_) => panic!("the resumed run outlived its deadline"),
+        }
+        assert!(m.is_idle());
+    }
+
+    #[test]
     fn sliced_single_stepping_matches_straight_run() {
         // (+ (+ 40 2) 8) sliced one instruction at a time: every
         // suspension leaves the machine idle, every resume fuses.
         let instrs = vec![
             Instr::Const(0),
             Instr::Const(1),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::Const(2),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::Return,
         ];
         let consts = vec![Value::fixnum(40), Value::fixnum(2), Value::fixnum(8)];
@@ -2722,7 +2812,7 @@ mod tests {
             false,
             vec![
                 Instr::Const(0),
-                Instr::PrimCall(PrimOp::Car, 1),
+                Instr::PrimCall(NativeId::named("car"), 1),
                 Instr::Return,
             ],
             vec![Value::fixnum(3)],

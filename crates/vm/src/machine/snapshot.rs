@@ -22,8 +22,10 @@
 //! `Rc<Code>` is emitted once and referenced by id, so `eq?` identity of
 //! captured continuations and the one-shot fusion eligibility (which keys
 //! off `Rc` strong counts) survive a snapshot/restore cycle. Native
-//! procedures are serialized *by name* and re-resolved on load, so a
-//! snapshot never embeds function pointers.
+//! procedure values are serialized *by name* and re-resolved on load, so a
+//! snapshot never embeds function pointers. A `PrimCall` operand is a
+//! primitive-table index, so the version changes whenever the table's
+//! order does.
 //!
 //! Decoding is panic-free by construction: every read is bounds-checked,
 //! every id validated, and every structural violation surfaces as a typed
@@ -39,13 +41,13 @@ use std::time::Duration;
 
 use cm_sexpr::Sym;
 
-use crate::code::{Code, Instr, PrimOp};
+use crate::code::{Code, Instr};
 use crate::config::{FaultPlan, MachineConfig, MarkModel};
 use crate::heap::{self, Closure, HBox, HClosure, HCont, HPair, HRecord, HStr, HTable, HVec};
 use crate::machine::control::{
     CompChainRec, CompData, ContData, ContKind, MetaFrame, Segment, Underflow, Winder,
 };
-use crate::prims;
+use crate::prims::{self, NativeId};
 use crate::trace::TraceKind;
 use crate::values::Value;
 
@@ -57,7 +59,7 @@ use super::{
 const MAGIC: &[u8; 4] = b"CMSN";
 
 /// Current snapshot wire-format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be produced or restored. Every decode failure
 /// is one of these — corrupted input never panics.
@@ -85,6 +87,9 @@ pub enum SnapshotError {
         /// Human-readable description of the violation.
         what: String,
     },
+    /// A `PrimCall` names a table index that is not an inlinable
+    /// primitive of this build.
+    UnknownPrimitive(u16),
     /// The snapshot parsed cleanly but cannot be rebuilt in this process
     /// (unknown native, global table mismatch, ill-formed frames).
     Rejected {
@@ -111,6 +116,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::Truncated { at } => write!(f, "snapshot truncated while reading {at}"),
             SnapshotError::Malformed { what } => write!(f, "malformed snapshot: {what}"),
+            SnapshotError::UnknownPrimitive(id) => write!(f, "unknown inline primitive {id}"),
             SnapshotError::Rejected { what } => write!(f, "snapshot rejected: {what}"),
         }
     }
@@ -432,9 +438,9 @@ fn w_instr(out: &mut Vec<u8>, i: &Instr) {
             w_u16(out, x);
         }
         Instr::Return => w_u8(out, 14),
-        Instr::PrimCall(op, argc) => {
+        Instr::PrimCall(id, argc) => {
             w_u8(out, 15);
-            w_u8(out, op as u8);
+            w_u16(out, id.0);
             w_u8(out, argc);
         }
         Instr::PushAttach => w_u8(out, 16),
@@ -481,11 +487,11 @@ fn r_instr(rd: &mut Rd) -> Result<Instr, SnapshotError> {
         13 => Instr::CallWithAttachment(rd.u16("call argc")?),
         14 => Instr::Return,
         15 => {
-            let p = rd.u8("primitive op")?;
-            let prim = *PrimOp::ALL
-                .get(p as usize)
-                .ok_or_else(|| malformed(format!("unknown primitive op {p}")))?;
-            Instr::PrimCall(prim, rd.u8("primitive argc")?)
+            let p = rd.u16("primitive id")?;
+            let id = NativeId::from_index(p)
+                .filter(|id| id.def().inlinable())
+                .ok_or(SnapshotError::UnknownPrimitive(p))?;
+            Instr::PrimCall(id, rd.u8("primitive argc")?)
         }
         16 => Instr::PushAttach,
         17 => Instr::PopAttach,
@@ -837,7 +843,7 @@ impl Enc {
             }
             Value::Native(id) => {
                 w_u8(out, T_NATIVE);
-                let name = cm_sexpr::sym(prims::native_name(id));
+                let name = cm_sexpr::sym(id.name());
                 let sid = self.sym_id(name);
                 w_u32(out, sid);
             }
@@ -1607,7 +1613,7 @@ impl Mat {
             ),
             V::Native(i) => {
                 let name = self.sym(i)?;
-                match prims::lookup(name.name()) {
+                match prims::lookup(name) {
                     Some(id) => Value::Native(id),
                     None => return Err(rejected(format!("unknown native `{}`", name.name()))),
                 }
@@ -2215,11 +2221,16 @@ impl Machine {
         for mf in &meta {
             push_meta_roots(mf, &mut roots);
         }
+        // A restored run starts a fresh primitive count and deadline, as
+        // a run on a new machine does.
+        machine.arm_limits();
         let run = SuspendedRun {
             head,
             base_marks,
             winders,
             meta,
+            prim_count: machine.prim_count,
+            deadline_at: machine.deadline_at,
             _roots: heap::add_extra_roots(roots),
         };
 
@@ -2278,7 +2289,6 @@ fn capture_bounds(p: &Parsed) -> Vec<Option<u32>> {
 mod tests {
     use super::super::RunStatus;
     use super::*;
-    use crate::code::PrimOp;
     use crate::heap::Rooted;
 
     /// A program exercising globals, attachments, and a heap constant:
@@ -2293,10 +2303,10 @@ mod tests {
             Instr::PushAttach,
             Instr::Const(1),
             Instr::GlobalRef(gid),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::Const(2),
-            Instr::PrimCall(PrimOp::Cdr, 1),
-            Instr::PrimCall(PrimOp::Add, 2),
+            Instr::PrimCall(NativeId::named("cdr"), 1),
+            Instr::PrimCall(NativeId::named("+"), 2),
             Instr::PopAttach,
             Instr::Return,
         ];
@@ -2465,6 +2475,24 @@ mod tests {
             Machine::restore_snapshot(&bad),
             Err(SnapshotError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn snapshot_naming_a_primitive_past_the_table_is_refused() {
+        let mut bytes = snapshot_bytes();
+        let add = NativeId::named("+").0.to_le_bytes();
+        let at = bytes
+            .windows(4)
+            .position(|w| w == [15, add[0], add[1], 2])
+            .expect("an encoded (prim + argc=2)");
+        bytes[at + 1..at + 3].copy_from_slice(&u16::MAX.to_le_bytes());
+        // Re-seal the payload so that only the id check can refuse it.
+        let sum = fnv1a64(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            Machine::restore_snapshot(&bytes).err(),
+            Some(SnapshotError::UnknownPrimitive(u16::MAX))
+        );
     }
 
     #[test]

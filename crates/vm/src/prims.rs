@@ -1,31 +1,65 @@
-//! Native (Rust-implemented) primitives and inlined primitive operations.
+//! The primitive table: each native procedure, inlined or called, is one
+//! row ([`NativeDef`]) of name, arity, implementation and [`PrimClass`].
+//! Implementations come in three flavors:
 //!
-//! Three flavors:
-//!
-//! * **Pure** natives compute a result from their arguments,
-//! * **Machine** natives additionally read or mutate machine registers
+//! * **Pure** rows compute a result from their arguments,
+//! * **Machine** rows additionally read or mutate machine registers
 //!   (winders, eager marks, output), and
-//! * **Control** natives ([`ControlOp`]) redirect control flow and are
+//! * **Control** rows ([`ControlOp`]) redirect control flow and are
 //!   dispatched inside the machine's call logic (`call/cc`, prompts, the
 //!   uniform attachment operations of §7).
 //!
-//! The compiler treats everything *except* control natives as
-//! attachment-transparent, which is the knowledge behind the paper's
-//! "no prim" optimization (§7.2, §8.5).
+//! Inline and plain rows are attachment-transparent, the knowledge behind
+//! the paper's "no prim" optimization (§7.2, §8.5); observer rows are not.
+//! `Instr::PrimCall`, the compiler's `PrimApp` and `Value::Native` all
+//! carry a [`NativeId`], so an inlined call and a called one check arity
+//! the same way and run the same function.
 
-use crate::code::PrimOp;
-use crate::error::{VmError, VmResult};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+use cm_sexpr::Sym;
+
+use crate::error::{VmError, VmErrorKind, VmResult};
 use crate::machine::Machine;
 use crate::values::Value;
 
-/// Identifies a native procedure in the global native table.
+/// Identifies one row of the primitive table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NativeId(pub(crate) u16);
 
 impl NativeId {
-    /// Index into the native table.
-    pub fn index(self) -> usize {
-        self.0 as usize
+    /// The row named `name`. In a constant this resolves at build time,
+    /// so a misspelt name fails the build; at run time an unknown name
+    /// panics (resolve names that come from data with [`lookup`]).
+    pub const fn named(name: &str) -> NativeId {
+        let mut i = 0;
+        while !same_bytes(NATIVES[i].name.as_bytes(), name.as_bytes()) {
+            i += 1;
+        }
+        NativeId(i as u16)
+    }
+
+    /// The handle of table index `i`, if the table has that row.
+    pub(crate) fn from_index(i: u16) -> Option<NativeId> {
+        (usize::from(i) < NATIVES.len()).then_some(NativeId(i))
+    }
+
+    /// This primitive's row.
+    pub fn def(self) -> &'static NativeDef {
+        &NATIVES[usize::from(self.0)]
+    }
+
+    /// The Scheme-level name.
+    pub fn name(self) -> &'static str {
+        self.def().name
+    }
+}
+
+const fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    match (a, b) {
+        ([x, a @ ..], [y, b @ ..]) => *x == *y && same_bytes(a, b),
+        _ => a.is_empty() && b.is_empty(),
     }
 }
 
@@ -63,7 +97,32 @@ pub enum NativeImpl {
     Control(ControlOp),
 }
 
-/// A native's registration entry.
+/// What the compiler and the analyses may assume about a primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrimClass {
+    /// A Pure row that cp0 rewrites into a `PrimApp` and codegen emits
+    /// as `Instr::PrimCall`, with what cp0 may do to it.
+    Inline(Cp0Rule),
+    /// A native called like any procedure.
+    Plain,
+    /// Reads or writes attachment or mark state, captures, resumes or
+    /// aborts a continuation, installs winders, or suspends the engine.
+    Observer,
+}
+
+/// What cp0 may do to an inlined primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cp0Rule {
+    /// Pure and deterministic: fold calls on constants, drop unused ones.
+    Fold,
+    /// Allocates fresh mutable structure or reads mutable state: drop
+    /// unused calls, never fold.
+    Drop,
+    /// Has a side effect: neither fold nor drop.
+    Keep,
+}
+
+/// One row of the primitive table.
 pub struct NativeDef {
     /// The Scheme-level name.
     pub name: &'static str,
@@ -73,13 +132,19 @@ pub struct NativeDef {
     pub max: Option<usize>,
     /// The implementation.
     pub imp: NativeImpl,
+    /// What the compiler and the analyses may assume.
+    pub class: PrimClass,
 }
 
 impl NativeDef {
+    /// Whether this native accepts `argc` arguments.
+    pub fn accepts(&self, argc: usize) -> bool {
+        argc >= self.min && self.max.is_none_or(|m| argc <= m)
+    }
+
     /// Validates an argument count against this native's arity.
     pub fn check_arity(&self, got: usize) -> VmResult<()> {
-        let ok = got >= self.min && self.max.is_none_or(|m| got <= m);
-        if ok {
+        if self.accepts(got) {
             Ok(())
         } else {
             let expected = match self.max {
@@ -90,720 +155,696 @@ impl NativeDef {
             Err(VmError::arity(self.name, expected, got))
         }
     }
+
+    /// Whether calls to this row compile inline.
+    pub fn inlinable(&self) -> bool {
+        matches!(self.class, PrimClass::Inline(_))
+    }
+
+    /// Whether a call to this row observes marks; every other row is
+    /// attachment-transparent.
+    pub fn observes_marks(&self) -> bool {
+        self.class == PrimClass::Observer
+    }
+
+    /// Applies a Pure row to `args` outside any machine (cp0's constant
+    /// folding and the reference model), checking arity as a call does.
+    ///
+    /// # Errors
+    ///
+    /// A call's errors; [`VmErrorKind::NotInlinable`] for other rows.
+    pub fn apply(&self, args: &[Value]) -> VmResult<Value> {
+        let NativeImpl::Pure(f) = self.imp else {
+            return Err(VmErrorKind::NotInlinable(self.name).into());
+        };
+        self.check_arity(args.len())?;
+        f(args)
+    }
 }
 
 macro_rules! natives {
-    ($(($name:expr, $min:expr, $max:expr, $imp:expr)),* $(,)?) => {
-        vec![$(NativeDef { name: $name, min: $min, max: $max, imp: $imp }),*]
+    (@class) => { PrimClass::Plain };
+    (@class $class:expr) => { $class };
+    ($(($name:expr, $min:expr, $max:expr, $imp:expr $(, $class:expr)?)),* $(,)?) => {
+        &[$(NativeDef {
+            name: $name,
+            min: $min,
+            max: $max,
+            imp: $imp,
+            class: natives!(@class $($class)?),
+        }),*]
     };
 }
 
 use NativeImpl::{Control, Machine as Mach, Pure};
 
-/// The full native table. Index = [`NativeId`].
-pub fn table() -> &'static [NativeDef] {
-    static TABLE: std::sync::OnceLock<Vec<NativeDef>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        natives![
-            // Control
-            ("call/cc", 1, Some(1), Control(ControlOp::CallCc)),
-            (
-                "call-with-current-continuation",
-                1,
-                Some(1),
-                Control(ControlOp::CallCc)
-            ),
-            ("call/1cc", 1, Some(1), Control(ControlOp::Call1cc)),
-            ("apply", 2, None, Control(ControlOp::Apply)),
-            (
-                "%call-with-prompt",
-                3,
-                Some(3),
-                Control(ControlOp::PromptCall)
-            ),
-            ("%abort", 2, Some(2), Control(ControlOp::Abort)),
-            (
-                "%call-with-composable-continuation",
-                2,
-                Some(2),
-                Control(ControlOp::CompCapture)
-            ),
-            (
-                "$call-setting-attachment",
-                2,
-                Some(2),
-                Control(ControlOp::CallSettingAttachment)
-            ),
-            (
-                "$call-getting-attachment",
-                2,
-                Some(2),
-                Control(ControlOp::CallGettingAttachment)
-            ),
-            (
-                "$call-consuming-attachment",
-                2,
-                Some(2),
-                Control(ControlOp::CallConsumingAttachment)
-            ),
-            // Machine
-            ("$push-winder", 2, Some(2), Mach(m_push_winder)),
-            ("$pop-winder", 0, Some(0), Mach(m_pop_winder)),
-            (
-                "current-continuation-attachments",
-                0,
-                Some(0),
-                Mach(m_current_attachments)
-            ),
-            ("$eager-mark-set!", 2, Some(2), Mach(m_eager_set)),
-            ("$eager-first", 2, Some(2), Mach(m_eager_first)),
-            ("$eager-marks", 1, Some(1), Mach(m_eager_marks)),
-            ("$eager-immediate", 2, Some(2), Mach(m_eager_immediate)),
-            ("display", 1, Some(1), Mach(m_display)),
-            ("write", 1, Some(1), Mach(m_write)),
-            ("newline", 0, Some(0), Mach(m_newline)),
-            // Continuation inspection
-            ("$cont-attachments", 1, Some(1), Pure(p_cont_attachments)),
-            // Marks-layer support (§7.5): key lookup over an attachments list
-            // of `$mark-frame` records, with path-compression caching.
-            ("$marks-first", 3, Some(3), Pure(p_marks_first)),
-            ("$marks->list", 2, Some(2), Pure(p_marks_to_list)),
-            ("$eager-all-marks", 0, Some(0), Mach(m_eager_all_marks)),
-            (
-                "continuation?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Cont(_)))))
-            ),
-            // Numbers
-            ("+", 0, None, Pure(p_add)),
-            ("-", 1, None, Pure(p_sub)),
-            ("*", 0, None, Pure(p_mul)),
-            ("/", 1, None, Pure(p_div)),
-            ("quotient", 2, Some(2), Pure(p_quotient)),
-            ("remainder", 2, Some(2), Pure(p_remainder)),
-            ("modulo", 2, Some(2), Pure(p_modulo)),
-            (
-                "=",
-                2,
-                None,
-                Pure(|a| p_cmp(a, "=", |o| o == std::cmp::Ordering::Equal))
-            ),
-            (
-                "<",
-                2,
-                None,
-                Pure(|a| p_cmp(a, "<", |o| o == std::cmp::Ordering::Less))
-            ),
-            (
-                "<=",
-                2,
-                None,
-                Pure(|a| p_cmp(a, "<=", |o| o != std::cmp::Ordering::Greater))
-            ),
-            (
-                ">",
-                2,
-                None,
-                Pure(|a| p_cmp(a, ">", |o| o == std::cmp::Ordering::Greater))
-            ),
-            (
-                ">=",
-                2,
-                None,
-                Pure(|a| p_cmp(a, ">=", |o| o != std::cmp::Ordering::Less))
-            ),
-            (
-                "add1",
-                1,
-                Some(1),
-                Pure(|a| add_values("add1", &a[0], &Value::Fixnum(1)))
-            ),
-            (
-                "sub1",
-                1,
-                Some(1),
-                Pure(|a| sub_values("sub1", &a[0], &Value::Fixnum(1)))
-            ),
-            (
-                "1+",
-                1,
-                Some(1),
-                Pure(|a| add_values("1+", &a[0], &Value::Fixnum(1)))
-            ),
-            (
-                "1-",
-                1,
-                Some(1),
-                Pure(|a| sub_values("1-", &a[0], &Value::Fixnum(1)))
-            ),
-            ("zero?", 1, Some(1), Pure(p_zero)),
-            ("abs", 1, Some(1), Pure(p_abs)),
-            ("min", 1, None, Pure(p_min)),
-            ("max", 1, None, Pure(p_max)),
-            ("expt", 2, Some(2), Pure(p_expt)),
-            ("sqrt", 1, Some(1), Pure(p_sqrt)),
-            ("floor", 1, Some(1), Pure(|a| p_round(a, f64::floor))),
-            ("ceiling", 1, Some(1), Pure(|a| p_round(a, f64::ceil))),
-            ("round", 1, Some(1), Pure(|a| p_round(a, f64::round))),
-            ("truncate", 1, Some(1), Pure(|a| p_round(a, f64::trunc))),
-            ("exact->inexact", 1, Some(1), Pure(p_exact_to_inexact)),
-            ("inexact->exact", 1, Some(1), Pure(p_inexact_to_exact)),
-            ("exact", 1, Some(1), Pure(p_inexact_to_exact)),
-            ("inexact", 1, Some(1), Pure(p_exact_to_inexact)),
-            (
-                "number?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(
-                    a[0],
-                    Value::Fixnum(_) | Value::Flonum(_)
-                ))))
-            ),
-            ("integer?", 1, Some(1), Pure(p_integer_p)),
-            (
-                "real?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(
-                    a[0],
-                    Value::Fixnum(_) | Value::Flonum(_)
-                ))))
-            ),
-            (
-                "fixnum?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Fixnum(_)))))
-            ),
-            (
-                "flonum?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Flonum(_)))))
-            ),
-            (
-                "exact?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Fixnum(_)))))
-            ),
-            (
-                "inexact?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Flonum(_)))))
-            ),
-            (
-                "even?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(as_fixnum("even?", &a[0])? % 2 == 0)))
-            ),
-            (
-                "odd?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(as_fixnum("odd?", &a[0])? % 2 != 0)))
-            ),
-            (
-                "positive?",
-                1,
-                Some(1),
-                Pure(|a| p_cmp(&[a[0], Value::Fixnum(0)], "positive?", |o| o
-                    == std::cmp::Ordering::Greater))
-            ),
-            (
-                "negative?",
-                1,
-                Some(1),
-                Pure(|a| p_cmp(&[a[0], Value::Fixnum(0)], "negative?", |o| o
-                    == std::cmp::Ordering::Less))
-            ),
-            // Pairs and lists
-            ("cons", 2, Some(2), Pure(|a| Ok(Value::cons(a[0], a[1])))),
-            ("car", 1, Some(1), Pure(|a| p_car("car", &a[0]))),
-            ("cdr", 1, Some(1), Pure(|a| p_cdr("cdr", &a[0]))),
-            (
-                "caar",
-                1,
-                Some(1),
-                Pure(|a| p_car("caar", &p_car("caar", &a[0])?))
-            ),
-            (
-                "cadr",
-                1,
-                Some(1),
-                Pure(|a| p_car("cadr", &p_cdr("cadr", &a[0])?))
-            ),
-            (
-                "cdar",
-                1,
-                Some(1),
-                Pure(|a| p_cdr("cdar", &p_car("cdar", &a[0])?))
-            ),
-            (
-                "cddr",
-                1,
-                Some(1),
-                Pure(|a| p_cdr("cddr", &p_cdr("cddr", &a[0])?))
-            ),
-            (
-                "caddr",
-                1,
-                Some(1),
-                Pure(|a| p_car("caddr", &p_cdr("caddr", &p_cdr("caddr", &a[0])?)?))
-            ),
-            (
-                "cdddr",
-                1,
-                Some(1),
-                Pure(|a| p_cdr("cdddr", &p_cdr("cdddr", &p_cdr("cdddr", &a[0])?)?))
-            ),
-            (
-                "cadddr",
-                1,
-                Some(1),
-                Pure(|a| p_car(
-                    "cadddr",
-                    &p_cdr("cadddr", &p_cdr("cadddr", &p_cdr("cadddr", &a[0])?)?)?
-                ))
-            ),
-            ("set-car!", 2, Some(2), Pure(p_set_car)),
-            ("set-cdr!", 2, Some(2), Pure(p_set_cdr)),
-            (
-                "pair?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Pair(_)))))
-            ),
-            (
-                "null?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(a[0].is_nil())))
-            ),
-            ("list", 0, None, Pure(|a| Ok(Value::list(a.to_vec())))),
-            (
-                "list?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(a[0].list_to_vec().is_some())))
-            ),
-            ("length", 1, Some(1), Pure(p_length)),
-            ("append", 0, None, Pure(p_append)),
-            ("reverse", 1, Some(1), Pure(p_reverse)),
-            ("list-tail", 2, Some(2), Pure(p_list_tail)),
-            ("list-ref", 2, Some(2), Pure(p_list_ref)),
-            ("memq", 2, Some(2), Pure(|a| p_mem(a, |x, y| x.eq_value(y)))),
-            ("memv", 2, Some(2), Pure(|a| p_mem(a, |x, y| x.eq_value(y)))),
-            (
-                "member",
-                2,
-                Some(2),
-                Pure(|a| p_mem(a, |x, y| x.equal_value(y)))
-            ),
-            ("assq", 2, Some(2), Pure(|a| p_ass(a, |x, y| x.eq_value(y)))),
-            ("assv", 2, Some(2), Pure(|a| p_ass(a, |x, y| x.eq_value(y)))),
-            (
-                "assoc",
-                2,
-                Some(2),
-                Pure(|a| p_ass(a, |x, y| x.equal_value(y)))
-            ),
-            // Equality
-            (
-                "eq?",
-                2,
-                Some(2),
-                Pure(|a| Ok(Value::Bool(a[0].eq_value(&a[1]))))
-            ),
-            (
-                "eqv?",
-                2,
-                Some(2),
-                Pure(|a| Ok(Value::Bool(a[0].eq_value(&a[1]))))
-            ),
-            (
-                "equal?",
-                2,
-                Some(2),
-                Pure(|a| Ok(Value::Bool(a[0].equal_value(&a[1]))))
-            ),
-            (
-                "not",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(!a[0].is_true())))
-            ),
-            // Predicates
-            (
-                "symbol?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Sym(_)))))
-            ),
-            (
-                "boolean?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Bool(_)))))
-            ),
-            (
-                "string?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Str(_)))))
-            ),
-            (
-                "char?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Char(_)))))
-            ),
-            (
-                "vector?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Vector(_)))))
-            ),
-            (
-                "procedure?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(a[0].is_procedure())))
-            ),
-            (
-                "box?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Box(_)))))
-            ),
-            (
-                "void?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Void))))
-            ),
-            // Symbols & strings
-            ("symbol->string", 1, Some(1), Pure(p_symbol_to_string)),
-            ("string->symbol", 1, Some(1), Pure(p_string_to_symbol)),
-            ("gensym", 0, Some(1), Pure(p_gensym)),
-            ("string-length", 1, Some(1), Pure(p_string_length)),
-            ("string-ref", 2, Some(2), Pure(p_string_ref)),
-            ("substring", 3, Some(3), Pure(p_substring)),
-            ("string-append", 0, None, Pure(p_string_append)),
-            (
-                "string=?",
-                2,
-                Some(2),
-                Pure(|a| p_string_cmp(a, "string=?", |o| o == std::cmp::Ordering::Equal))
-            ),
-            (
-                "string<?",
-                2,
-                Some(2),
-                Pure(|a| p_string_cmp(a, "string<?", |o| o == std::cmp::Ordering::Less))
-            ),
-            (
-                "string>?",
-                2,
-                Some(2),
-                Pure(|a| p_string_cmp(a, "string>?", |o| o == std::cmp::Ordering::Greater))
-            ),
-            ("string->list", 1, Some(1), Pure(p_string_to_list)),
-            ("list->string", 1, Some(1), Pure(p_list_to_string)),
-            ("string->number", 1, Some(1), Pure(p_string_to_number)),
-            (
-                "number->string",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::string(a[0].display_string())))
-            ),
-            ("make-string", 1, Some(2), Pure(p_make_string)),
-            ("string", 0, None, Pure(p_string)),
-            ("string-copy", 1, Some(1), Pure(p_string_copy)),
-            ("char->integer", 1, Some(1), Pure(p_char_to_integer)),
-            ("integer->char", 1, Some(1), Pure(p_integer_to_char)),
-            (
-                "char=?",
-                2,
-                Some(2),
-                Pure(|a| p_char_cmp(a, "char=?", |o| o == std::cmp::Ordering::Equal))
-            ),
-            (
-                "char<?",
-                2,
-                Some(2),
-                Pure(|a| p_char_cmp(a, "char<?", |o| o == std::cmp::Ordering::Less))
-            ),
-            (
-                "char>?",
-                2,
-                Some(2),
-                Pure(|a| p_char_cmp(a, "char>?", |o| o == std::cmp::Ordering::Greater))
-            ),
-            (
-                "char-alphabetic?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(
-                    as_char("char-alphabetic?", &a[0])?.is_alphabetic()
-                )))
-            ),
-            (
-                "char-numeric?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(as_char("char-numeric?", &a[0])?.is_numeric())))
-            ),
-            (
-                "char-whitespace?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(
-                    as_char("char-whitespace?", &a[0])?.is_whitespace()
-                )))
-            ),
-            (
-                "char-upcase",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Char(
-                    as_char("char-upcase", &a[0])?.to_ascii_uppercase()
-                )))
-            ),
-            (
-                "char-downcase",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Char(
-                    as_char("char-downcase", &a[0])?.to_ascii_lowercase()
-                )))
-            ),
-            // Vectors
-            ("vector", 0, None, Pure(|a| Ok(Value::vector(a.to_vec())))),
-            ("make-vector", 1, Some(2), Pure(p_make_vector)),
-            ("vector-ref", 2, Some(2), Pure(p_vector_ref)),
-            ("vector-set!", 3, Some(3), Pure(p_vector_set)),
-            ("vector-length", 1, Some(1), Pure(p_vector_length)),
-            ("vector->list", 1, Some(1), Pure(p_vector_to_list)),
-            ("list->vector", 1, Some(1), Pure(p_list_to_vector)),
-            ("vector-fill!", 2, Some(2), Pure(p_vector_fill)),
-            // Boxes
-            ("box", 1, Some(1), Pure(|a| Ok(Value::boxed(a[0])))),
-            ("unbox", 1, Some(1), Pure(p_unbox)),
-            ("set-box!", 2, Some(2), Pure(p_set_box)),
-            // Hash tables
-            ("make-hashtable", 0, Some(0), Pure(|_| Ok(Value::table()))),
-            (
-                "hashtable?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Table(_)))))
-            ),
-            ("hashtable-set!", 3, Some(3), Pure(p_hash_set)),
-            ("hashtable-ref", 3, Some(3), Pure(p_hash_ref)),
-            ("hashtable-contains?", 2, Some(2), Pure(p_hash_contains)),
-            ("hashtable-delete!", 2, Some(2), Pure(p_hash_delete)),
-            ("hashtable-size", 1, Some(1), Pure(p_hash_size)),
-            // Records
-            ("make-record", 1, None, Pure(p_make_record)),
-            (
-                "record?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Record(_)))))
-            ),
-            ("record-is?", 2, Some(2), Pure(p_record_is)),
-            ("record-tag", 1, Some(1), Pure(p_record_tag)),
-            ("record-ref", 2, Some(2), Pure(p_record_ref)),
-            ("record-set!", 3, Some(3), Pure(p_record_set)),
-            // Misc
-            ("void", 0, None, Pure(|_| Ok(Value::Void))),
-            ("eof-object", 0, Some(0), Pure(|_| Ok(Value::Eof))),
-            (
-                "eof-object?",
-                1,
-                Some(1),
-                Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Eof))))
-            ),
-            ("error", 1, None, Pure(p_error)),
-            // Engines (crates/engines): request preemption at the next
-            // safe point of a sliced run; a no-op elsewhere. Returns
-            // whether the request took effect.
-            ("%engine-block", 0, Some(0), Mach(m_engine_block)),
-        ]
-    })
+const FOLD: PrimClass = PrimClass::Inline(Cp0Rule::Fold);
+const DROP: PrimClass = PrimClass::Inline(Cp0Rule::Drop);
+const KEEP: PrimClass = PrimClass::Inline(Cp0Rule::Keep);
+const OBSERVER: PrimClass = PrimClass::Observer;
+
+/// The primitive table; a row without a class is [`PrimClass::Plain`].
+static NATIVES: &[NativeDef] = natives![
+    // Control
+    ("call/cc", 1, Some(1), Control(ControlOp::CallCc), OBSERVER),
+    (
+        "call-with-current-continuation",
+        1,
+        Some(1),
+        Control(ControlOp::CallCc),
+        OBSERVER
+    ),
+    (
+        "call/1cc",
+        1,
+        Some(1),
+        Control(ControlOp::Call1cc),
+        OBSERVER
+    ),
+    ("apply", 2, None, Control(ControlOp::Apply), OBSERVER),
+    (
+        "%call-with-prompt",
+        3,
+        Some(3),
+        Control(ControlOp::PromptCall),
+        OBSERVER
+    ),
+    ("%abort", 2, Some(2), Control(ControlOp::Abort), OBSERVER),
+    (
+        "%call-with-composable-continuation",
+        2,
+        Some(2),
+        Control(ControlOp::CompCapture),
+        OBSERVER
+    ),
+    (
+        "$call-setting-attachment",
+        2,
+        Some(2),
+        Control(ControlOp::CallSettingAttachment),
+        OBSERVER
+    ),
+    (
+        "$call-getting-attachment",
+        2,
+        Some(2),
+        Control(ControlOp::CallGettingAttachment),
+        OBSERVER
+    ),
+    (
+        "$call-consuming-attachment",
+        2,
+        Some(2),
+        Control(ControlOp::CallConsumingAttachment),
+        OBSERVER
+    ),
+    // Machine
+    ("$push-winder", 2, Some(2), Mach(m_push_winder), OBSERVER),
+    ("$pop-winder", 0, Some(0), Mach(m_pop_winder), OBSERVER),
+    (
+        "current-continuation-attachments",
+        0,
+        Some(0),
+        Mach(m_current_attachments),
+        OBSERVER
+    ),
+    ("$eager-mark-set!", 2, Some(2), Mach(m_eager_set), OBSERVER),
+    ("$eager-first", 2, Some(2), Mach(m_eager_first), OBSERVER),
+    ("$eager-marks", 1, Some(1), Mach(m_eager_marks), OBSERVER),
+    (
+        "$eager-immediate",
+        2,
+        Some(2),
+        Mach(m_eager_immediate),
+        OBSERVER
+    ),
+    ("display", 1, Some(1), Mach(m_display)),
+    ("write", 1, Some(1), Mach(m_write)),
+    ("newline", 0, Some(0), Mach(m_newline)),
+    // Continuation inspection
+    (
+        "$cont-attachments",
+        1,
+        Some(1),
+        Pure(p_cont_attachments),
+        OBSERVER
+    ),
+    // Marks-layer support (§7.5): key lookup over an attachments list
+    // of `$mark-frame` records, with path-compression caching.
+    ("$marks-first", 3, Some(3), Pure(p_marks_first), OBSERVER),
+    ("$marks->list", 2, Some(2), Pure(p_marks_to_list), OBSERVER),
+    (
+        "$eager-all-marks",
+        0,
+        Some(0),
+        Mach(m_eager_all_marks),
+        OBSERVER
+    ),
+    (
+        "continuation?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Cont(_)))))
+    ),
+    // Numbers
+    ("+", 0, None, Pure(p_add), FOLD),
+    ("-", 1, None, Pure(p_sub), FOLD),
+    ("*", 0, None, Pure(p_mul), FOLD),
+    ("/", 1, None, Pure(p_div), FOLD),
+    ("quotient", 2, Some(2), Pure(p_quotient), FOLD),
+    ("remainder", 2, Some(2), Pure(p_remainder), FOLD),
+    ("modulo", 2, Some(2), Pure(p_modulo), FOLD),
+    (
+        "=",
+        2,
+        None,
+        Pure(|a| p_cmp(a, "=", |o| o == std::cmp::Ordering::Equal)),
+        FOLD
+    ),
+    (
+        "<",
+        2,
+        None,
+        Pure(|a| p_cmp(a, "<", |o| o == std::cmp::Ordering::Less)),
+        FOLD
+    ),
+    (
+        "<=",
+        2,
+        None,
+        Pure(|a| p_cmp(a, "<=", |o| o != std::cmp::Ordering::Greater)),
+        FOLD
+    ),
+    (
+        ">",
+        2,
+        None,
+        Pure(|a| p_cmp(a, ">", |o| o == std::cmp::Ordering::Greater)),
+        FOLD
+    ),
+    (
+        ">=",
+        2,
+        None,
+        Pure(|a| p_cmp(a, ">=", |o| o != std::cmp::Ordering::Less)),
+        FOLD
+    ),
+    (
+        "add1",
+        1,
+        Some(1),
+        Pure(|a| add_values("add1", &a[0], &Value::Fixnum(1))),
+        FOLD
+    ),
+    (
+        "sub1",
+        1,
+        Some(1),
+        Pure(|a| sub_values("sub1", &a[0], &Value::Fixnum(1))),
+        FOLD
+    ),
+    (
+        "1+",
+        1,
+        Some(1),
+        Pure(|a| add_values("1+", &a[0], &Value::Fixnum(1))),
+        FOLD
+    ),
+    (
+        "1-",
+        1,
+        Some(1),
+        Pure(|a| sub_values("1-", &a[0], &Value::Fixnum(1))),
+        FOLD
+    ),
+    ("zero?", 1, Some(1), Pure(p_zero), FOLD),
+    ("abs", 1, Some(1), Pure(p_abs)),
+    ("min", 1, None, Pure(p_min)),
+    ("max", 1, None, Pure(p_max)),
+    ("expt", 2, Some(2), Pure(p_expt)),
+    ("sqrt", 1, Some(1), Pure(p_sqrt)),
+    ("floor", 1, Some(1), Pure(|a| p_round(a, f64::floor))),
+    ("ceiling", 1, Some(1), Pure(|a| p_round(a, f64::ceil))),
+    ("round", 1, Some(1), Pure(|a| p_round(a, f64::round))),
+    ("truncate", 1, Some(1), Pure(|a| p_round(a, f64::trunc))),
+    ("exact->inexact", 1, Some(1), Pure(p_exact_to_inexact)),
+    ("inexact->exact", 1, Some(1), Pure(p_inexact_to_exact)),
+    ("exact", 1, Some(1), Pure(p_inexact_to_exact)),
+    ("inexact", 1, Some(1), Pure(p_exact_to_inexact)),
+    (
+        "number?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(
+            a[0],
+            Value::Fixnum(_) | Value::Flonum(_)
+        ))))
+    ),
+    ("integer?", 1, Some(1), Pure(p_integer_p)),
+    (
+        "real?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(
+            a[0],
+            Value::Fixnum(_) | Value::Flonum(_)
+        ))))
+    ),
+    (
+        "fixnum?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Fixnum(_))))),
+        FOLD
+    ),
+    (
+        "flonum?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Flonum(_))))),
+        FOLD
+    ),
+    (
+        "exact?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Fixnum(_)))))
+    ),
+    (
+        "inexact?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Flonum(_)))))
+    ),
+    (
+        "even?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(as_fixnum("even?", &a[0])? % 2 == 0)))
+    ),
+    (
+        "odd?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(as_fixnum("odd?", &a[0])? % 2 != 0)))
+    ),
+    (
+        "positive?",
+        1,
+        Some(1),
+        Pure(|a| p_cmp(&[a[0], Value::Fixnum(0)], "positive?", |o| o
+            == std::cmp::Ordering::Greater))
+    ),
+    (
+        "negative?",
+        1,
+        Some(1),
+        Pure(|a| p_cmp(&[a[0], Value::Fixnum(0)], "negative?", |o| o
+            == std::cmp::Ordering::Less))
+    ),
+    // Pairs and lists
+    (
+        "cons",
+        2,
+        Some(2),
+        Pure(|a| Ok(Value::cons(a[0], a[1]))),
+        DROP
+    ),
+    ("car", 1, Some(1), Pure(|a| p_car("car", &a[0])), FOLD),
+    ("cdr", 1, Some(1), Pure(|a| p_cdr("cdr", &a[0])), FOLD),
+    (
+        "caar",
+        1,
+        Some(1),
+        Pure(|a| p_car("caar", &p_car("caar", &a[0])?))
+    ),
+    (
+        "cadr",
+        1,
+        Some(1),
+        Pure(|a| p_car("cadr", &p_cdr("cadr", &a[0])?))
+    ),
+    (
+        "cdar",
+        1,
+        Some(1),
+        Pure(|a| p_cdr("cdar", &p_car("cdar", &a[0])?))
+    ),
+    (
+        "cddr",
+        1,
+        Some(1),
+        Pure(|a| p_cdr("cddr", &p_cdr("cddr", &a[0])?))
+    ),
+    (
+        "caddr",
+        1,
+        Some(1),
+        Pure(|a| p_car("caddr", &p_cdr("caddr", &p_cdr("caddr", &a[0])?)?))
+    ),
+    (
+        "cdddr",
+        1,
+        Some(1),
+        Pure(|a| p_cdr("cdddr", &p_cdr("cdddr", &p_cdr("cdddr", &a[0])?)?))
+    ),
+    (
+        "cadddr",
+        1,
+        Some(1),
+        Pure(|a| p_car(
+            "cadddr",
+            &p_cdr("cadddr", &p_cdr("cadddr", &p_cdr("cadddr", &a[0])?)?)?
+        ))
+    ),
+    ("set-car!", 2, Some(2), Pure(p_set_car), KEEP),
+    ("set-cdr!", 2, Some(2), Pure(p_set_cdr), KEEP),
+    (
+        "pair?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Pair(_))))),
+        FOLD
+    ),
+    (
+        "null?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(a[0].is_nil()))),
+        FOLD
+    ),
+    ("list", 0, None, Pure(|a| Ok(Value::list(a.to_vec())))),
+    (
+        "list?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(a[0].list_to_vec().is_some())))
+    ),
+    ("length", 1, Some(1), Pure(p_length)),
+    ("append", 0, None, Pure(p_append)),
+    ("reverse", 1, Some(1), Pure(p_reverse)),
+    ("list-tail", 2, Some(2), Pure(p_list_tail)),
+    ("list-ref", 2, Some(2), Pure(p_list_ref)),
+    ("memq", 2, Some(2), Pure(|a| p_mem(a, |x, y| x.eq_value(y)))),
+    ("memv", 2, Some(2), Pure(|a| p_mem(a, |x, y| x.eq_value(y)))),
+    (
+        "member",
+        2,
+        Some(2),
+        Pure(|a| p_mem(a, |x, y| x.equal_value(y)))
+    ),
+    ("assq", 2, Some(2), Pure(|a| p_ass(a, |x, y| x.eq_value(y)))),
+    ("assv", 2, Some(2), Pure(|a| p_ass(a, |x, y| x.eq_value(y)))),
+    (
+        "assoc",
+        2,
+        Some(2),
+        Pure(|a| p_ass(a, |x, y| x.equal_value(y)))
+    ),
+    // Equality
+    (
+        "eq?",
+        2,
+        Some(2),
+        Pure(|a| Ok(Value::Bool(a[0].eq_value(&a[1])))),
+        FOLD
+    ),
+    (
+        "eqv?",
+        2,
+        Some(2),
+        Pure(|a| Ok(Value::Bool(a[0].eq_value(&a[1])))),
+        FOLD
+    ),
+    (
+        "equal?",
+        2,
+        Some(2),
+        Pure(|a| Ok(Value::Bool(a[0].equal_value(&a[1]))))
+    ),
+    (
+        "not",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(!a[0].is_true()))),
+        FOLD
+    ),
+    // Predicates
+    (
+        "symbol?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Sym(_))))),
+        FOLD
+    ),
+    (
+        "boolean?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Bool(_))))),
+        FOLD
+    ),
+    (
+        "string?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Str(_))))),
+        FOLD
+    ),
+    (
+        "char?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Char(_))))),
+        FOLD
+    ),
+    (
+        "vector?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Vector(_))))),
+        FOLD
+    ),
+    (
+        "procedure?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(a[0].is_procedure()))),
+        FOLD
+    ),
+    (
+        "box?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Box(_)))))
+    ),
+    (
+        "void?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Void))))
+    ),
+    // Symbols & strings
+    ("symbol->string", 1, Some(1), Pure(p_symbol_to_string)),
+    ("string->symbol", 1, Some(1), Pure(p_string_to_symbol)),
+    ("gensym", 0, Some(1), Pure(p_gensym)),
+    ("string-length", 1, Some(1), Pure(p_string_length)),
+    ("string-ref", 2, Some(2), Pure(p_string_ref)),
+    ("substring", 3, Some(3), Pure(p_substring)),
+    ("string-append", 0, None, Pure(p_string_append)),
+    (
+        "string=?",
+        2,
+        Some(2),
+        Pure(|a| p_string_cmp(a, "string=?", |o| o == std::cmp::Ordering::Equal))
+    ),
+    (
+        "string<?",
+        2,
+        Some(2),
+        Pure(|a| p_string_cmp(a, "string<?", |o| o == std::cmp::Ordering::Less))
+    ),
+    (
+        "string>?",
+        2,
+        Some(2),
+        Pure(|a| p_string_cmp(a, "string>?", |o| o == std::cmp::Ordering::Greater))
+    ),
+    ("string->list", 1, Some(1), Pure(p_string_to_list)),
+    ("list->string", 1, Some(1), Pure(p_list_to_string)),
+    ("string->number", 1, Some(1), Pure(p_string_to_number)),
+    (
+        "number->string",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::string(a[0].display_string())))
+    ),
+    ("make-string", 1, Some(2), Pure(p_make_string)),
+    ("string", 0, None, Pure(p_string)),
+    ("string-copy", 1, Some(1), Pure(p_string_copy)),
+    ("char->integer", 1, Some(1), Pure(p_char_to_integer)),
+    ("integer->char", 1, Some(1), Pure(p_integer_to_char)),
+    (
+        "char=?",
+        2,
+        Some(2),
+        Pure(|a| p_char_cmp(a, "char=?", |o| o == std::cmp::Ordering::Equal))
+    ),
+    (
+        "char<?",
+        2,
+        Some(2),
+        Pure(|a| p_char_cmp(a, "char<?", |o| o == std::cmp::Ordering::Less))
+    ),
+    (
+        "char>?",
+        2,
+        Some(2),
+        Pure(|a| p_char_cmp(a, "char>?", |o| o == std::cmp::Ordering::Greater))
+    ),
+    (
+        "char-alphabetic?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(
+            as_char("char-alphabetic?", &a[0])?.is_alphabetic()
+        )))
+    ),
+    (
+        "char-numeric?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(as_char("char-numeric?", &a[0])?.is_numeric())))
+    ),
+    (
+        "char-whitespace?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(
+            as_char("char-whitespace?", &a[0])?.is_whitespace()
+        )))
+    ),
+    (
+        "char-upcase",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Char(
+            as_char("char-upcase", &a[0])?.to_ascii_uppercase()
+        )))
+    ),
+    (
+        "char-downcase",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Char(
+            as_char("char-downcase", &a[0])?.to_ascii_lowercase()
+        )))
+    ),
+    // Vectors
+    ("vector", 0, None, Pure(|a| Ok(Value::vector(a.to_vec())))),
+    ("make-vector", 1, Some(2), Pure(p_make_vector), DROP),
+    ("vector-ref", 2, Some(2), Pure(p_vector_ref), DROP),
+    ("vector-set!", 3, Some(3), Pure(p_vector_set), KEEP),
+    ("vector-length", 1, Some(1), Pure(p_vector_length), FOLD),
+    ("vector->list", 1, Some(1), Pure(p_vector_to_list)),
+    ("list->vector", 1, Some(1), Pure(p_list_to_vector)),
+    ("vector-fill!", 2, Some(2), Pure(p_vector_fill)),
+    // Boxes
+    ("box", 1, Some(1), Pure(|a| Ok(Value::boxed(a[0]))), DROP),
+    ("unbox", 1, Some(1), Pure(p_unbox), DROP),
+    ("set-box!", 2, Some(2), Pure(p_set_box), KEEP),
+    // Hash tables
+    ("make-hashtable", 0, Some(0), Pure(|_| Ok(Value::table()))),
+    (
+        "hashtable?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Table(_)))))
+    ),
+    ("hashtable-set!", 3, Some(3), Pure(p_hash_set)),
+    ("hashtable-ref", 3, Some(3), Pure(p_hash_ref)),
+    ("hashtable-contains?", 2, Some(2), Pure(p_hash_contains)),
+    ("hashtable-delete!", 2, Some(2), Pure(p_hash_delete)),
+    ("hashtable-size", 1, Some(1), Pure(p_hash_size)),
+    // Records
+    ("make-record", 1, None, Pure(p_make_record)),
+    (
+        "record?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Record(_)))))
+    ),
+    ("record-is?", 2, Some(2), Pure(p_record_is)),
+    ("record-tag", 1, Some(1), Pure(p_record_tag)),
+    ("record-ref", 2, Some(2), Pure(p_record_ref)),
+    ("record-set!", 3, Some(3), Pure(p_record_set)),
+    // Misc
+    ("void", 0, None, Pure(|_| Ok(Value::Void))),
+    ("eof-object", 0, Some(0), Pure(|_| Ok(Value::Eof))),
+    (
+        "eof-object?",
+        1,
+        Some(1),
+        Pure(|a| Ok(Value::Bool(matches!(a[0], Value::Eof))))
+    ),
+    ("error", 1, None, Pure(p_error)),
+    // Engines (crates/engines): request preemption at the next
+    // safe point of a sliced run; a no-op elsewhere. Returns
+    // whether the request took effect.
+    ("%engine-block", 0, Some(0), Mach(m_engine_block), OBSERVER),
+];
+
+/// Every row with its handle, in table order.
+pub fn all() -> impl Iterator<Item = (NativeId, &'static NativeDef)> {
+    NATIVES.iter().zip(0..).map(|(d, i)| (NativeId(i), d))
 }
 
-/// The name of a native by id.
-pub fn native_name(id: NativeId) -> &'static str {
-    table()[id.index()].name
-}
-
-/// The definition of a native by id.
-pub fn def(id: NativeId) -> &'static NativeDef {
-    &table()[id.index()]
-}
-
-/// Looks up a native by name.
-pub fn lookup(name: &str) -> Option<NativeId> {
-    table()
-        .iter()
-        .position(|d| d.name == name)
-        .map(|i| NativeId(i as u16))
+/// Looks up a row by name. One map, built on first use, serves every
+/// lookup by name: cp0's recognition of inlinable calls and the snapshot
+/// codec's decode of native values.
+pub fn lookup(name: Sym) -> Option<NativeId> {
+    static BY_NAME: OnceLock<HashMap<Sym, NativeId>> = OnceLock::new();
+    BY_NAME
+        .get_or_init(|| all().map(|(id, d)| (cm_sexpr::sym(d.name), id)).collect())
+        .get(&name)
+        .copied()
 }
 
 /// Installs every native into `globals`.
 pub fn install(globals: &mut crate::machine::Globals) {
-    for (i, d) in table().iter().enumerate() {
-        globals.define(cm_sexpr::sym(d.name), Value::Native(NativeId(i as u16)));
+    for (id, d) in all() {
+        globals.define(cm_sexpr::sym(d.name), Value::Native(id));
     }
 }
 
-// ----------------------------------------------------------------------
-// Inlined primitive execution (PrimCall)
-// ----------------------------------------------------------------------
-
-/// Executes an inlined [`PrimOp`]: pops `argc` arguments off the machine
-/// stack and pushes the result.
+/// Executes an inlined primitive: pops `argc` arguments off the machine
+/// stack and pushes the result. The native-call path checks arity and
+/// runs the row's function the same way.
 ///
 /// # Errors
 ///
-/// Type and arity errors from the underlying operation, plus any fault
-/// the machine's [`FaultPlan`](crate::FaultPlan) injects at this
-/// primitive boundary.
-pub fn exec_prim(m: &mut Machine, op: PrimOp, argc: usize) -> VmResult<()> {
-    // The arity check keeps `prim_op`'s argument indexing in bounds even
+/// Type and arity errors from the row; [`VmErrorKind::NotInlinable`] for
+/// a row without a Pure function, which unverified bytecode can name;
+/// plus any fault the machine's [`FaultPlan`](crate::FaultPlan) injects
+/// at this primitive boundary.
+pub fn exec_prim(m: &mut Machine, id: NativeId, argc: usize) -> VmResult<()> {
+    let def = id.def();
+    let NativeImpl::Pure(f) = def.imp else {
+        return Err(VmErrorKind::NotInlinable(def.name).into());
+    };
+    // The arity check keeps the row's argument indexing in bounds even
     // for bytecode the verifier never saw.
-    let (min, max) = op.arity();
-    if argc < min as usize || max.is_some_and(|mx| argc > mx as usize) {
-        let expected = match max {
-            Some(mx) if mx == min => format!("{min}"),
-            Some(mx) => format!("{min} to {mx}"),
-            None => format!("at least {min}"),
-        };
-        return Err(VmError::arity(op.name(), expected, argc));
-    }
-    m.note_prim_call(op.name())?;
+    def.check_arity(argc)?;
+    m.note_prim_call(def.name)?;
     let at = m
         .stack
         .len()
         .checked_sub(argc)
         .ok_or_else(|| VmError::internal("prim-call", "arguments missing from stack"))?;
-    let result = {
-        let args = &m.stack[at..];
-        prim_op(op, args)?
-    };
+    let result = f(&m.stack[at..])?;
     m.stack.truncate(at);
     m.stack.push(result);
     Ok(())
-}
-
-/// Applies a [`PrimOp`] to arguments.
-pub fn prim_op(op: PrimOp, args: &[Value]) -> VmResult<Value> {
-    use std::cmp::Ordering;
-    match op {
-        PrimOp::Add => p_add(args),
-        PrimOp::Sub => p_sub(args),
-        PrimOp::Mul => p_mul(args),
-        PrimOp::Div => p_div(args),
-        PrimOp::Quotient => p_quotient(args),
-        PrimOp::Remainder => p_remainder(args),
-        PrimOp::Modulo => p_modulo(args),
-        PrimOp::NumEq => p_cmp(args, "=", |o| o == Ordering::Equal),
-        PrimOp::Lt => p_cmp(args, "<", |o| o == Ordering::Less),
-        PrimOp::Le => p_cmp(args, "<=", |o| o != Ordering::Greater),
-        PrimOp::Gt => p_cmp(args, ">", |o| o == Ordering::Greater),
-        PrimOp::Ge => p_cmp(args, ">=", |o| o != Ordering::Less),
-        PrimOp::Add1 => add_values("add1", &args[0], &Value::Fixnum(1)),
-        PrimOp::Sub1 => sub_values("sub1", &args[0], &Value::Fixnum(1)),
-        PrimOp::ZeroP => p_zero(args),
-        PrimOp::Cons => Ok(Value::cons(args[0], args[1])),
-        PrimOp::Car => p_car("car", &args[0]),
-        PrimOp::Cdr => p_cdr("cdr", &args[0]),
-        PrimOp::SetCar => p_set_car(args),
-        PrimOp::SetCdr => p_set_cdr(args),
-        PrimOp::PairP => Ok(Value::Bool(matches!(args[0], Value::Pair(_)))),
-        PrimOp::NullP => Ok(Value::Bool(args[0].is_nil())),
-        PrimOp::EqP | PrimOp::EqvP => Ok(Value::Bool(args[0].eq_value(&args[1]))),
-        PrimOp::Not => Ok(Value::Bool(!args[0].is_true())),
-        PrimOp::SymbolP => Ok(Value::Bool(matches!(args[0], Value::Sym(_)))),
-        PrimOp::ProcedureP => Ok(Value::Bool(args[0].is_procedure())),
-        PrimOp::FixnumP => Ok(Value::Bool(matches!(args[0], Value::Fixnum(_)))),
-        PrimOp::FlonumP => Ok(Value::Bool(matches!(args[0], Value::Flonum(_)))),
-        PrimOp::BooleanP => Ok(Value::Bool(matches!(args[0], Value::Bool(_)))),
-        PrimOp::StringP => Ok(Value::Bool(matches!(args[0], Value::Str(_)))),
-        PrimOp::VectorP => Ok(Value::Bool(matches!(args[0], Value::Vector(_)))),
-        PrimOp::CharP => Ok(Value::Bool(matches!(args[0], Value::Char(_)))),
-        PrimOp::VectorRef => p_vector_ref(args),
-        PrimOp::VectorSet => p_vector_set(args),
-        PrimOp::VectorLength => p_vector_length(args),
-        PrimOp::MakeVector => p_make_vector(args),
-        PrimOp::BoxNew => Ok(Value::boxed(args[0])),
-        PrimOp::Unbox => p_unbox(args),
-        PrimOp::SetBox => p_set_box(args),
-    }
-}
-
-/// Whether an inlined [`PrimOp`] is *attachment-transparent*: it neither
-/// observes nor changes the continuation's attachment state (the `marks`
-/// register), and it cannot capture, resume, or abort a continuation.
-///
-/// This is the single source of truth consulted by both the compiler's
-/// local §7.4 check (`Expr::attachment_transparent`) and the
-/// interprocedural mark-flow analysis in `cm-analysis`. The match is
-/// deliberately wildcard-free: adding a `PrimOp` variant fails to
-/// compile until its transparency is declared here.
-pub fn prim_attachment_transparent(op: PrimOp) -> bool {
-    match op {
-        // Numeric / predicate / data-structure primitives run entirely
-        // inside `exec_prim`: no continuation machinery is reachable.
-        // Mutators (set-car! etc.) affect the heap, not attachments, so
-        // they are transparent too (transparency is about attachment
-        // observation, not purity).
-        PrimOp::Add
-        | PrimOp::Sub
-        | PrimOp::Mul
-        | PrimOp::Div
-        | PrimOp::Quotient
-        | PrimOp::Remainder
-        | PrimOp::Modulo
-        | PrimOp::NumEq
-        | PrimOp::Lt
-        | PrimOp::Le
-        | PrimOp::Gt
-        | PrimOp::Ge
-        | PrimOp::Add1
-        | PrimOp::Sub1
-        | PrimOp::ZeroP
-        | PrimOp::Cons
-        | PrimOp::Car
-        | PrimOp::Cdr
-        | PrimOp::SetCar
-        | PrimOp::SetCdr
-        | PrimOp::PairP
-        | PrimOp::NullP
-        | PrimOp::EqP
-        | PrimOp::EqvP
-        | PrimOp::Not
-        | PrimOp::SymbolP
-        | PrimOp::ProcedureP
-        | PrimOp::FixnumP
-        | PrimOp::FlonumP
-        | PrimOp::BooleanP
-        | PrimOp::StringP
-        | PrimOp::VectorP
-        | PrimOp::CharP
-        | PrimOp::VectorRef
-        | PrimOp::VectorSet
-        | PrimOp::VectorLength
-        | PrimOp::MakeVector
-        | PrimOp::BoxNew
-        | PrimOp::Unbox
-        | PrimOp::SetBox => true,
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -1754,7 +1795,7 @@ mod tests {
 
     #[test]
     fn table_has_no_duplicate_names() {
-        let mut names: Vec<&str> = table().iter().map(|d| d.name).collect();
+        let mut names: Vec<&str> = all().map(|(_, d)| d.name).collect();
         let before = names.len();
         names.sort_unstable();
         names.dedup();
@@ -1763,21 +1804,23 @@ mod tests {
 
     #[test]
     fn lookup_finds_call_cc() {
-        let id = lookup("call/cc").unwrap();
-        assert_eq!(native_name(id), "call/cc");
+        let id = lookup(cm_sexpr::sym("call/cc")).unwrap();
+        assert_eq!(id, NativeId::named("call/cc"));
+        assert_eq!(id.name(), "call/cc");
         assert!(matches!(
-            def(id).imp,
+            id.def().imp,
             NativeImpl::Control(ControlOp::CallCc)
         ));
+        assert_eq!(lookup(cm_sexpr::sym("no-such-primitive")), None);
     }
 
     #[test]
     fn arity_checks() {
-        let d = def(lookup("cons").unwrap());
+        let d = NativeId::named("cons").def();
         assert!(d.check_arity(2).is_ok());
         assert!(d.check_arity(1).is_err());
         assert!(d.check_arity(3).is_err());
-        let d = def(lookup("list").unwrap());
+        let d = NativeId::named("list").def();
         assert!(d.check_arity(0).is_ok());
         assert!(d.check_arity(17).is_ok());
     }
@@ -1896,116 +1939,19 @@ mod tests {
         assert!(!p_hash_contains(&[t, Value::symbol("k")]).unwrap().is_true());
     }
 
-    /// Every `PrimOp` variant, kept complete by the wildcard-free match
-    /// in `transparency_table_covers_every_prim_op` below.
-    const ALL_PRIM_OPS: &[PrimOp] = &[
-        PrimOp::Add,
-        PrimOp::Sub,
-        PrimOp::Mul,
-        PrimOp::Div,
-        PrimOp::Quotient,
-        PrimOp::Remainder,
-        PrimOp::Modulo,
-        PrimOp::NumEq,
-        PrimOp::Lt,
-        PrimOp::Le,
-        PrimOp::Gt,
-        PrimOp::Ge,
-        PrimOp::Add1,
-        PrimOp::Sub1,
-        PrimOp::ZeroP,
-        PrimOp::Cons,
-        PrimOp::Car,
-        PrimOp::Cdr,
-        PrimOp::SetCar,
-        PrimOp::SetCdr,
-        PrimOp::PairP,
-        PrimOp::NullP,
-        PrimOp::EqP,
-        PrimOp::EqvP,
-        PrimOp::Not,
-        PrimOp::SymbolP,
-        PrimOp::ProcedureP,
-        PrimOp::FixnumP,
-        PrimOp::FlonumP,
-        PrimOp::BooleanP,
-        PrimOp::StringP,
-        PrimOp::VectorP,
-        PrimOp::CharP,
-        PrimOp::VectorRef,
-        PrimOp::VectorSet,
-        PrimOp::VectorLength,
-        PrimOp::MakeVector,
-        PrimOp::BoxNew,
-        PrimOp::Unbox,
-        PrimOp::SetBox,
-    ];
-
     #[test]
-    fn transparency_table_covers_every_prim_op() {
-        // Compile-time exhaustiveness: neither this match nor the one in
-        // `prim_attachment_transparent` has a wildcard arm, so adding a
-        // `PrimOp` variant refuses to compile until both declare it; the
-        // membership check then keeps `ALL_PRIM_OPS` in sync.
-        fn check_listed(op: PrimOp) {
-            match op {
-                PrimOp::Add
-                | PrimOp::Sub
-                | PrimOp::Mul
-                | PrimOp::Div
-                | PrimOp::Quotient
-                | PrimOp::Remainder
-                | PrimOp::Modulo
-                | PrimOp::NumEq
-                | PrimOp::Lt
-                | PrimOp::Le
-                | PrimOp::Gt
-                | PrimOp::Ge
-                | PrimOp::Add1
-                | PrimOp::Sub1
-                | PrimOp::ZeroP
-                | PrimOp::Cons
-                | PrimOp::Car
-                | PrimOp::Cdr
-                | PrimOp::SetCar
-                | PrimOp::SetCdr
-                | PrimOp::PairP
-                | PrimOp::NullP
-                | PrimOp::EqP
-                | PrimOp::EqvP
-                | PrimOp::Not
-                | PrimOp::SymbolP
-                | PrimOp::ProcedureP
-                | PrimOp::FixnumP
-                | PrimOp::FlonumP
-                | PrimOp::BooleanP
-                | PrimOp::StringP
-                | PrimOp::VectorP
-                | PrimOp::CharP
-                | PrimOp::VectorRef
-                | PrimOp::VectorSet
-                | PrimOp::VectorLength
-                | PrimOp::MakeVector
-                | PrimOp::BoxNew
-                | PrimOp::Unbox
-                | PrimOp::SetBox => {}
+    fn classes_agree_with_implementations() {
+        // PrimCall runs only Pure rows, and every control operator
+        // observes marks; the verifier and mark-flow rely on both.
+        for (_, d) in all() {
+            if d.inlinable() {
+                assert!(matches!(d.imp, NativeImpl::Pure(_)), "{}", d.name);
             }
-            assert!(
-                ALL_PRIM_OPS.contains(&op),
-                "{} missing from ALL_PRIM_OPS",
-                op.name()
-            );
+            if matches!(d.imp, NativeImpl::Control(_)) {
+                assert!(d.observes_marks(), "{}", d.name);
+            }
         }
-        for &op in ALL_PRIM_OPS {
-            check_listed(op);
-            // No inlined primitive touches the continuation machinery;
-            // a future non-transparent one must flip this expectation.
-            assert!(prim_attachment_transparent(op), "{}", op.name());
-        }
-        // Duplicate-free: each variant appears exactly once.
-        for (i, a) in ALL_PRIM_OPS.iter().enumerate() {
-            assert!(!ALL_PRIM_OPS[i + 1..].contains(a));
-        }
+        assert_eq!(all().filter(|(_, d)| d.inlinable()).count(), 42);
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl Value {
             Value::Table(h) => h.eq_key(),
             Value::Record(h) => h.eq_key(),
             Value::Closure(h) => h.eq_key(),
-            Value::Native(id) => EqKey::Ptr(0x1000_0000 + id.index()),
+            Value::Native(id) => EqKey::Ptr(0x1000_0000 + usize::from(id.0)),
             // Two continuations captured at the same point share the same
             // underflow record (capture reuses an already-reified chain),
             // and Chez-style code — e.g. the paper's figure-3 imitation of
@@ -438,7 +438,7 @@ impl Value {
                 let _ = write!(out, "#<procedure {}>", c.name());
             }
             Value::Native(id) => {
-                let _ = write!(out, "#<procedure {}>", crate::prims::native_name(*id));
+                let _ = write!(out, "#<procedure {}>", id.name());
             }
             Value::Cont(_) => out.push_str("#<continuation>"),
         }

@@ -2,7 +2,7 @@
 //! fusion, and the attachment register — driven through hand-assembled
 //! code objects plus property tests of the attachment invariants.
 
-use cm_vm::{Code, Instr, Machine, MachineConfig, PrimOp, Rooted, Value};
+use cm_vm::{Code, Instr, Machine, MachineConfig, NativeId, Rooted, Value};
 use proptest::prelude::*;
 
 fn run_with(config: MachineConfig, instrs: Vec<Instr>, consts: Vec<Value>) -> (Rooted, Machine) {
@@ -24,7 +24,7 @@ fn deep_nontail_calls_split_segments() {
         vec![
             // box = (box void)
             Instr::Const(0),
-            Instr::PrimCall(PrimOp::BoxNew, 1),
+            Instr::PrimCall(NativeId::named("box"), 1),
             // f = closure capturing the box
             Instr::LocalRef(0),
             Instr::MakeClosure {
@@ -34,7 +34,7 @@ fn deep_nontail_calls_split_segments() {
             // (set-box! box f)
             Instr::LocalRef(0),
             Instr::LocalRef(1),
-            Instr::PrimCall(PrimOp::SetBox, 2),
+            Instr::PrimCall(NativeId::named("set-box!"), 2),
             Instr::Pop,
             // (f 500)
             Instr::LocalRef(1),
@@ -49,18 +49,18 @@ fn deep_nontail_calls_split_segments() {
             false,
             vec![
                 Instr::LocalRef(0),
-                Instr::PrimCall(PrimOp::ZeroP, 1),
+                Instr::PrimCall(NativeId::named("zero?"), 1),
                 Instr::JumpIfFalse(5),
                 Instr::Const(0),
                 Instr::Return,
                 Instr::Const(1),
                 Instr::CaptureRef(0),
-                Instr::PrimCall(PrimOp::Unbox, 1),
+                Instr::PrimCall(NativeId::named("unbox"), 1),
                 Instr::LocalRef(0),
                 Instr::Const(1),
-                Instr::PrimCall(PrimOp::Sub, 2),
+                Instr::PrimCall(NativeId::named("-"), 2),
                 Instr::Call(1),
-                Instr::PrimCall(PrimOp::Add, 2),
+                Instr::PrimCall(NativeId::named("+"), 2),
                 Instr::Return,
             ],
             vec![Value::fixnum(0), Value::fixnum(1)],
@@ -118,7 +118,7 @@ fn get_and_consume_present() {
             Instr::PushAttach,
             Instr::GetAttachPresent,
             Instr::ConsumeAttachPresent,
-            Instr::PrimCall(PrimOp::Cons, 2),
+            Instr::PrimCall(NativeId::named("cons"), 2),
             Instr::Return,
         ],
         vec![Value::fixnum(7)],

@@ -253,6 +253,34 @@ fn winder_marks_are_restored_in_winders() {
         "#,
         "wind-site",
     );
+    // The same after-thunk, run by normal flow and by a `call/cc` escape
+    // whose body carries marks of its own: both see the thunk's mark over
+    // the `dynamic-wind` call's, never the body's.
+    let program = |body: &str| {
+        format!(
+            "(define seen #f)
+             (define (record!)
+               (set! seen (continuation-mark-set->list (current-continuation-marks) 'ctx)))
+             (call/cc
+               (lambda (k)
+                 (with-continuation-mark 'ctx 'wind-site
+                   (car (cons
+                     (dynamic-wind
+                       void
+                       (lambda () (with-continuation-mark 'ctx 'body {body}))
+                       (lambda () (with-continuation-mark 'ctx 'inner (record!))))
+                     0)))))
+             seen"
+        )
+    };
+    for body in ["'v", "(k 'escaped)"] {
+        for (name, config) in cm_core::all_configs() {
+            let got = Engine::new(config)
+                .eval_to_string(&program(body))
+                .unwrap_or_else(|e| panic!("[{name}] {body}: {e}"));
+            assert_eq!(got, "(inner wind-site)", "[{name}] body {body}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

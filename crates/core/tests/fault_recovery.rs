@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use cm_core::{Engine, EngineConfig, EngineError};
-use cm_vm::{VmError, VmErrorKind};
+use cm_vm::VmErrorKind;
 
 /// All measured engine variants (the centralized eight-config matrix).
 fn all_configs() -> Vec<(&'static str, EngineConfig)> {
@@ -60,26 +60,6 @@ fn error_success_cycles_on_every_config() {
                 .unwrap_or_else(|m| panic!("[{name}] invariant violated: {m}"));
         }
     }
-}
-
-#[test]
-fn nested_execution_depth_limit_is_a_clean_error() {
-    let mut e = Engine::new(EngineConfig::default());
-    // Winder thunks run in nested executions; a jump out of a
-    // dynamic-wind extent must hit the depth limit when it is zero.
-    let src = "(call/cc (lambda (k)
-                 (dynamic-wind (lambda () 0) (lambda () (k 7)) (lambda () 1))))";
-    e.machine_mut().config.max_nested_executions = 0;
-    match e.eval(src).unwrap_err() {
-        EngineError::Runtime(VmError {
-            kind: VmErrorKind::NativeDepthExceeded { limit: 0 },
-            ..
-        }) => {}
-        other => panic!("expected NativeDepthExceeded, got {other}"),
-    }
-    // Restored limit: the same engine runs the same program fine.
-    e.machine_mut().config.max_nested_executions = 128;
-    assert_eq!(e.eval_to_string(src).unwrap(), "7");
 }
 
 #[test]

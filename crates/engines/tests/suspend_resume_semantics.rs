@@ -3,10 +3,12 @@
 //! instruction boundaries and resumed — must be bit-identical to an
 //! uninterrupted run on every engine configuration. That includes the
 //! delicate cases: continuation marks live across the suspension,
-//! `dynamic-wind` winders in flight (a slice expiring *inside* a wind
-//! thunk must defer, not tear the critical section), and suspensions
-//! landing across segment-underflow boundaries. Mark/`call/cc` programs
-//! are additionally checked against the §3–§4 reference model.
+//! `dynamic-wind` winders in flight (a continuation jump runs its winder
+//! thunks as ordinary frames, so a slice may expire, and `%engine-block`
+//! suspend, *inside* one, under the thunk's winder marks), and
+//! suspensions landing across segment-underflow boundaries.
+//! Mark/`call/cc` programs are additionally checked against the §3–§4
+//! reference model.
 
 use cm_engines::{Engine, RunResult, WorkerHost};
 use cm_refmodel::RefInterp;
@@ -79,6 +81,22 @@ const WIND_PROGRAMS: &[(&str, &str)] = &[
                      (lambda () (note 'in) (burn 15))
                      (lambda () (burn 30) (k 'jumped) (note 'unreachable))
                      (lambda () (note 'out) (burn 15))))))
+           events)",
+    ),
+    (
+        "wind-reentry",
+        "(begin
+           (set! events '())
+           (let ([k #f] [n 0])
+             (with-continuation-mark 'w 'site
+               (car (cons
+                 (dynamic-wind
+                   (lambda () (burn 15) (note (list 'in (mark-first 'w 0))))
+                   (lambda () (call/cc (lambda (c) (set! k c))) (note 'body) (burn 20))
+                   (lambda () (burn 15) (note (list 'out (mark-first 'w 0)))))
+                 0)))
+             (set! n (+ n 1))
+             (if (< n 3) (k 'again)))
            events)",
     ),
     (
@@ -235,5 +253,46 @@ fn explicit_engine_block_suspends_cooperatively() {
             assert_eq!(got, baseline);
         }
         other => panic!("expected cooperative suspension, got {other:?}"),
+    }
+}
+
+#[test]
+fn engine_block_suspends_inside_a_jump_run_after_thunk() {
+    // The escape runs the after-thunk as an ordinary frame, so the block
+    // suspends the engine between the thunk's two notes, under the
+    // marks of the `dynamic-wind` call.
+    let mut host = WorkerHost::new(Default::default());
+    host.load(HELPERS).unwrap();
+    let src = "(begin
+                 (set! events '())
+                 (with-continuation-mark 'w 'site
+                   (car (cons
+                     (call/cc (lambda (k)
+                       (dynamic-wind
+                         void
+                         (lambda () (k 'out))
+                         (lambda ()
+                           (note 'post-start)
+                           (%engine-block)
+                           (note 'post-end)))))
+                     0)))
+                 events)";
+    let engine = host.spawn(src).unwrap();
+    match engine.run(1_000_000) {
+        RunResult::Suspended(e, stats) => {
+            assert_eq!(stats.suspensions, 1);
+            assert_eq!(host.eval("events").unwrap().write_string(), "(post-start)");
+            let marks = e.suspended_marks().expect("suspended engine has marks");
+            let lookup = host.eval("(lambda (atts) ($marks->list atts 'w))").unwrap();
+            let seen = host
+                .core_mut()
+                .machine_mut()
+                .call_value(*lookup, vec![marks])
+                .unwrap();
+            assert_eq!(seen.write_string(), "(site)");
+            let (got, _) = run_sliced(e, 1_000_000, "engine-block in post");
+            assert_eq!(got, "(post-end post-start)");
+        }
+        other => panic!("expected a suspension inside the after-thunk, got {other:?}"),
     }
 }

@@ -8,7 +8,8 @@
 //! upward continuation invocations), and `dynamic-wind` whose winder
 //! thunks log into a global `dw-log` — so the *order* in which
 //! before/after thunks fire across jumps is part of every program's
-//! observable result, not just the final value.
+//! observable result, not just the final value. An after-thunk may end
+//! in an escape of its own, which then fires while a jump is running it.
 //!
 //! Failures are shrunk with the vendored greedy minimizer
 //! ([`proptest::shrink::minimize`]) before reporting, and the distilled
@@ -49,9 +50,12 @@ enum GExpr {
     /// renders as plain `arg` when no continuation is in scope.
     InvokeK(u8, Box<GExpr>),
     /// (dynamic-wind (lambda () (note 'preT)) (lambda () body)
-    ///               (lambda () (note 'postT))) — effect-only winders,
-    /// so jump paths leave an observable trail in `dw-log`.
-    Dw(u8, Box<GExpr>),
+    ///               (lambda () (note 'postT) [(kI n)])) — winders that
+    /// read no marks (the model runs jump-run thunks under the target's
+    /// marks), so jump paths leave an observable trail in `dw-log`. The
+    /// optional `(kI n)` escapes from the after-thunk to an enclosing
+    /// continuation with a literal; it renders only when one is in scope.
+    Dw(u8, Box<GExpr>, Option<(u8, i8)>),
 }
 
 fn key_name(k: u8) -> &'static str {
@@ -91,7 +95,9 @@ fn arb_gexpr() -> impl Strategy<Value = GExpr> {
             inner.clone().prop_map(|a| GExpr::ZeroP(Box::new(a))),
             inner.clone().prop_map(|a| GExpr::CallCc(Box::new(a))),
             (0u8..2, inner.clone()).prop_map(|(i, a)| GExpr::InvokeK(i, Box::new(a))),
-            (0u8..3, inner.clone()).prop_map(|(t, a)| GExpr::Dw(t, Box::new(a))),
+            (0u8..3, inner.clone(), (0u8..4, any::<i8>())).prop_map(|(t, a, (i, n))| {
+                GExpr::Dw(t, Box::new(a), (i < 2).then_some((i, n)))
+            }),
         ]
     })
 }
@@ -189,11 +195,15 @@ fn render(e: &GExpr, scope: u32, kdepth: u32, out: &mut String) {
                 out.push(')');
             }
         }
-        GExpr::Dw(tag, body) => {
+        GExpr::Dw(tag, body, escape) => {
             let t = tag % 3;
             let _ = write!(out, "(dynamic-wind (lambda () (note 'pre{t})) (lambda () ");
             render(body, scope, kdepth, out);
-            let _ = write!(out, ") (lambda () (note 'post{t})))");
+            let _ = write!(out, ") (lambda () (note 'post{t})");
+            if let (Some((i, n)), true) = (escape, kdepth > 0) {
+                let _ = write!(out, " (k{} {n})", (*i as u32) % kdepth);
+            }
+            out.push_str("))");
         }
     }
 }
@@ -267,7 +277,7 @@ fn shrink_candidates(e: &GExpr) -> Vec<GExpr> {
         Add(a, b) | AppLambda(a, b) | Let(a, b) => vec![(**a).clone(), (**b).clone()],
         If(a, b, c) => vec![(**a).clone(), (**b).clone(), (**c).clone()],
         Begin(es) => es.clone(),
-        ThunkCall(a) | ZeroP(a) | CallCc(a) | InvokeK(_, a) | Dw(_, a) => vec![(**a).clone()],
+        ThunkCall(a) | ZeroP(a) | CallCc(a) | InvokeK(_, a) | Dw(_, a, _) => vec![(**a).clone()],
         Wcm(_, v, b) => vec![(**v).clone(), (**b).clone()],
     };
     let rebuild = |i: usize, c: GExpr| -> GExpr {
@@ -291,7 +301,7 @@ fn shrink_candidates(e: &GExpr) -> Vec<GExpr> {
             (ZeroP(_), _) => ZeroP(boxed),
             (CallCc(_), _) => CallCc(boxed),
             (InvokeK(k, _), _) => InvokeK(*k, boxed),
-            (Dw(t, _), _) => Dw(*t, boxed),
+            (Dw(t, _, esc), _) => Dw(*t, boxed, *esc),
             (Wcm(k, _, b), 0) => Wcm(*k, boxed, b.clone()),
             (Wcm(k, v, _), 1) => Wcm(*k, v.clone(), boxed),
             _ => unreachable!("rebuild index out of range"),
@@ -302,6 +312,9 @@ fn shrink_candidates(e: &GExpr) -> Vec<GExpr> {
     out.extend(children.iter().cloned());
     if !matches!(e, Num(0)) {
         out.push(Num(0));
+    }
+    if let Dw(t, a, Some(_)) = e {
+        out.push(Dw(*t, a.clone(), None));
     }
     // Then shrink one child in place (one level; the minimizer's outer
     // loop supplies the recursion).
@@ -367,6 +380,10 @@ fn generator_exercises_marks_control_and_winders() {
             "generator never produced {needle}"
         );
     }
+    assert!(
+        (0..3).any(|t| sources.contains(&format!("(note 'post{t}) (k"))),
+        "generator never produced an escaping after-thunk"
+    );
 }
 
 /// Exercises the shrink machinery without needing a real engine bug:
@@ -386,6 +403,7 @@ fn shrinker_reduces_to_minimal_interesting_program() {
             )),
             Box::new(GExpr::ThunkCall(Box::new(GExpr::Num(5)))),
         )),
+        None,
     );
     let interesting = |e: &GExpr| {
         let mut s = String::new();

@@ -171,6 +171,33 @@ pub fn torture_targets(quick: bool) -> Vec<Target> {
                  (+ 1 (continuation-mark-set-first #f 'a 0)))))",
             "2",
         ),
+        // Escapes out of and re-entries into a `dynamic-wind` extent: the
+        // jumps run the thunks as ordinary frames, so every sweep also
+        // cuts inside them while they burn steps and read a mark.
+        sec2_target(
+            "sec2-wind",
+            "(define (wind-burn n) (if (zero? n) 0 (wind-burn (- n 1))))
+             (define (wind-trip)
+               (let ([log '()] [k #f] [n 0])
+                 (define (note x) (set! log (cons x log)))
+                 (define (mark) (continuation-mark-set-first #f 'w 'none))
+                 (call/cc
+                   (lambda (out)
+                     (with-continuation-mark 'w 'site
+                       (car (cons
+                         (dynamic-wind
+                           (lambda () (wind-burn 10) (note (list 'pre (mark))))
+                           (lambda ()
+                             (call/cc (lambda (c) (set! k c)))
+                             (note 'body)
+                             (if (< n 2) (out 'escaped) 'done))
+                           (lambda () (wind-burn 10) (note (list 'post (mark)))))
+                         0)))))
+                 (set! n (+ n 1))
+                 (if (< n 3) (k 'again) (reverse log))))",
+            "(wind-trip)",
+            "((pre site) body (post site) (pre site) body (post site) (pre site) body (post site))",
+        ),
         workload_target("attach", attach, "base-loop"),
         workload_target("attach", attach, "base-callcc-deep"),
         workload_target("mark", marks, "set-loop"),

@@ -69,12 +69,6 @@ pub struct MachineConfig {
     /// fresh budget. Checked every 1024 steps, so very short deadlines
     /// overshoot by a bounded amount.
     pub deadline: Option<Duration>,
-    /// Maximum depth of nested executions. Winder thunks (and anything
-    /// else entering the interpreter from inside the interpreter) recurse
-    /// on the native Rust stack; this bounds that recursion with a clean
-    /// [`VmErrorKind::NativeDepthExceeded`](crate::VmErrorKind) instead
-    /// of a native stack overflow.
-    pub max_nested_executions: usize,
     /// Model the "Racket CS" control-operation wrapper: `call/cc` arrives
     /// through an extra closure indirection that also saves/restores
     /// winders and mark state, costing extra allocation per capture. `false`
@@ -136,7 +130,6 @@ impl Default for MachineConfig {
             segment_frame_limit: 2048,
             fuel: None,
             deadline: None,
-            max_nested_executions: 128,
             wrapped_control: false,
             check_invariants: cfg!(debug_assertions),
             fault_plan: FaultPlan::default(),
@@ -171,12 +164,6 @@ impl MachineConfig {
     /// Adds a wall-clock budget per top-level run.
     pub fn with_deadline(mut self, deadline: Duration) -> MachineConfig {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Caps nested-execution (winder thunk) depth.
-    pub fn with_max_nested_executions(mut self, limit: usize) -> MachineConfig {
-        self.max_nested_executions = limit;
         self
     }
 
@@ -239,7 +226,6 @@ mod tests {
         assert!(c.one_shot_fusion);
         assert!(c.fuel.is_none());
         assert!(c.deadline.is_none());
-        assert!(c.max_nested_executions > 0);
         assert!(!c.fault_plan.is_armed());
     }
 
@@ -256,11 +242,8 @@ mod tests {
 
     #[test]
     fn limit_builders_mirror_with_fuel() {
-        let c = MachineConfig::default()
-            .with_deadline(Duration::from_millis(5))
-            .with_max_nested_executions(3);
+        let c = MachineConfig::default().with_deadline(Duration::from_millis(5));
         assert_eq!(c.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(c.max_nested_executions, 3);
     }
 
     #[test]

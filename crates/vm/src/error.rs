@@ -54,13 +54,6 @@ pub enum VmErrorKind {
     /// The wall-clock deadline passed (see
     /// [`MachineConfig::deadline`](crate::MachineConfig)).
     DeadlineExceeded,
-    /// Nested executions (winder thunks re-entering the interpreter on
-    /// the native Rust stack) exceeded
-    /// [`MachineConfig::max_nested_executions`](crate::MachineConfig).
-    NativeDepthExceeded {
-        /// The configured limit.
-        limit: usize,
-    },
     /// Live heap bytes exceeded
     /// [`MachineConfig::max_heap_bytes`](crate::MachineConfig) even after
     /// a collection at the safe point that detected the crossing.
@@ -112,9 +105,6 @@ impl fmt::Display for VmErrorKind {
             VmErrorKind::NoMatchingPrompt(tag) => write!(f, "no matching prompt for tag {tag}"),
             VmErrorKind::OutOfFuel => write!(f, "step budget exhausted"),
             VmErrorKind::DeadlineExceeded => write!(f, "wall-clock deadline exceeded"),
-            VmErrorKind::NativeDepthExceeded { limit } => {
-                write!(f, "nested execution depth exceeded (limit {limit})")
-            }
             VmErrorKind::HeapLimitExceeded { limit, live } => {
                 write!(f, "heap limit exceeded ({live} bytes live, limit {limit})")
             }
@@ -265,14 +255,13 @@ impl VmError {
         self
     }
 
-    /// Whether this is a resource-limit fault (fuel, deadline, nested
-    /// native depth, or heap cap) rather than a program error.
+    /// Whether this is a resource-limit fault (fuel, deadline, or heap
+    /// cap) rather than a program error.
     pub fn is_resource_limit(&self) -> bool {
         matches!(
             self.kind,
             VmErrorKind::OutOfFuel
                 | VmErrorKind::DeadlineExceeded
-                | VmErrorKind::NativeDepthExceeded { .. }
                 | VmErrorKind::HeapLimitExceeded { .. }
         )
     }
@@ -308,9 +297,6 @@ mod tests {
         assert!(VmError::from(VmErrorKind::DeadlineExceeded)
             .to_string()
             .contains("deadline"));
-        assert!(VmError::from(VmErrorKind::NativeDepthExceeded { limit: 7 })
-            .to_string()
-            .contains("7"));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! # Collection policy
 //!
 //! The collector only runs at *safe points*: instruction boundaries in
-//! the interpreter loop (including nested winder-thunk loops), where the
-//! machine can enumerate every live edge. Mid-instruction Rust locals
+//! the interpreter loop, where the machine can enumerate every live edge. Mid-instruction Rust locals
 //! never face a collection; the allocator merely raises a thread-local
 //! `should_collect` flag when the since-last-collection byte volume
 //! crosses the threshold, and the machine collects at its next boundary.
@@ -26,9 +25,10 @@
 //! A heap object lives while one of these reaches it, and no longer:
 //!
 //! * a machine: its operand stack, frame closures, the marks/attachment
-//!   registers, winders, meta frames, the underflow chain, the eager mark
-//!   stack, saved nested-execution states, and temporary roots pinned
-//!   around continuation application (`Machine::gather_roots`);
+//!   registers, winders, meta frames, the underflow chain, and the eager
+//!   mark stack (`Machine::gather_roots`). A continuation jump that
+//!   crosses winders keeps its continuation and value in the frames of
+//!   the prelude's `$wind-to`, so nothing it holds needs pinning;
 //! * a registered [`Globals`] table (weakly registered per machine, so
 //!   idle engines sharing the thread keep their global bindings);
 //! * a [`RootGuard`]: every live `SuspendedRun` holds one over its frozen

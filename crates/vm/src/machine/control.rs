@@ -81,7 +81,10 @@ pub struct Winder {
     /// The after thunk (run when a continuation escapes).
     pub post: Value,
     /// Marks of the `dynamic-wind` call's continuation, restored while a
-    /// winder thunk runs (paper footnote 4).
+    /// continuation jump runs one of the thunks (paper footnote 4). In
+    /// the eager model this is `(attachments . entries)`: the marks
+    /// register and every mark-stack entry, as a list of association
+    /// lists.
     pub marks: Value,
 }
 
@@ -163,9 +166,6 @@ pub struct ContData {
     pub winders: Vec<Winder>,
     /// Prompt (meta) depth at capture.
     pub meta_depth: usize,
-    /// Nested-execution depth at capture (winder thunks run in nested
-    /// executions; jumping across that boundary is refused).
-    pub nested_depth: usize,
     /// For `call/1cc`: whether the single shot has been used.
     pub one_shot_used: Option<Cell<bool>>,
 }
@@ -180,7 +180,6 @@ impl Default for ContData {
             base_marks: Value::Nil,
             winders: Vec::new(),
             meta_depth: 0,
-            nested_depth: 0,
             one_shot_used: None,
         }
     }

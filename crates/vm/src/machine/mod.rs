@@ -154,18 +154,6 @@ pub enum CallMode {
     EagerShared,
 }
 
-/// State saved around a nested execution (winder thunks).
-struct SavedState {
-    stack: Vec<Value>,
-    frames: Vec<Frame>,
-    next: Option<Rc<Underflow>>,
-    marks: Value,
-    base_marks: Value,
-    winders: Vec<Winder>,
-    meta: Vec<MetaFrame>,
-    mark_stack: Vec<MarkEntry>,
-}
-
 /// A preempted execution, captured at a safe point by
 /// [`Machine::run_code_sliced`]/[`Machine::resume`] when a fuel slice ran
 /// out (or `%engine-block` fired).
@@ -286,29 +274,13 @@ pub struct Machine {
     /// then suspends instead of raising
     /// [`VmErrorKind::OutOfFuel`](crate::VmErrorKind).
     slice_mode: bool,
-    /// A suspension has been requested (fuel slice exhausted or
-    /// `%engine-block`) but not yet taken. Suspension only happens at a
-    /// *safe point* — an instruction boundary with no nested execution on
-    /// the native Rust stack — so a request arriving inside a winder
-    /// thunk stays pending (and fuel stops being charged) until control
-    /// returns to depth 0.
-    pending_block: bool,
     /// Wall-clock cutoff for the current top-level run, armed from
     /// [`MachineConfig::deadline`] on entry.
     deadline_at: Option<Instant>,
     /// Primitive/native calls since the current top-level run began
     /// (drives [`FaultPlan::fail_prim_at`](crate::FaultPlan) injection).
     prim_count: u64,
-    nested_depth: usize,
     winder_counter: u64,
-    /// Machine state saved around nested executions (winder thunks). Held
-    /// here — not in Rust locals — so the collector can reach the outer
-    /// run's values while a nested run hits safe points.
-    saved_states: Vec<SavedState>,
-    /// Values pinned across operations that run nested code while holding
-    /// them only in Rust locals (continuation application, winder
-    /// rewinding). Scanned as roots; balanced push/truncate.
-    temp_roots: Vec<Value>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -359,13 +331,9 @@ impl Machine {
             output: String::new(),
             fuel,
             slice_mode: false,
-            pending_block: false,
             deadline_at: None,
             prim_count: 0,
-            nested_depth: 0,
             winder_counter: 0,
-            saved_states: Vec::new(),
-            temp_roots: Vec::new(),
         }
     }
 
@@ -478,12 +446,11 @@ impl Machine {
     /// [`Machine::resume`]. A `slice` of 0 is treated as 1 so every slice
     /// makes progress.
     ///
-    /// Suspension happens only at safe points (instruction boundaries at
-    /// nested-execution depth 0); a slice that expires inside a winder
-    /// thunk lets the thunk finish first, like an interrupt arriving in a
-    /// critical section. The explicit `%engine-block` native requests the
-    /// same suspension from Scheme code (and is a no-op outside sliced
-    /// runs).
+    /// Suspension happens at safe points (instruction boundaries), which
+    /// include the inside of winder thunks: a continuation jump runs them
+    /// as ordinary frames, so a frozen run captures them like any other
+    /// code. The explicit `%engine-block` native requests the same
+    /// suspension from Scheme code (and is a no-op outside sliced runs).
     ///
     /// # Errors
     ///
@@ -548,7 +515,6 @@ impl Machine {
     /// exhaustion suspends instead of erroring.
     fn begin_slice(&mut self, slice: u64) {
         self.slice_mode = true;
-        self.pending_block = false;
         self.fuel = Some(slice.max(1));
     }
 
@@ -577,7 +543,6 @@ impl Machine {
     /// when configured) and leaves the machine idle.
     fn finish_slice(&mut self, r: VmResult<LoopExit>) -> VmResult<RunStatus> {
         self.slice_mode = false;
-        self.pending_block = false;
         // Slice fuel must not leak into subsequent ordinary runs.
         self.fuel = self.config.fuel;
         match r {
@@ -634,11 +599,12 @@ impl Machine {
     }
 
     /// Requests a suspension at the next safe point (the `%engine-block`
-    /// native). Returns whether the request took effect — `false` outside
-    /// sliced runs, where `%engine-block` is a no-op.
+    /// native) by spending the rest of the slice's fuel. Returns whether
+    /// the request took effect — `false` outside sliced runs, where
+    /// `%engine-block` is a no-op.
     pub(crate) fn request_block(&mut self) -> bool {
         if self.slice_mode {
-            self.pending_block = true;
+            self.fuel = Some(0);
         }
         self.slice_mode
     }
@@ -655,7 +621,6 @@ impl Machine {
             && self.mark_stack.is_empty()
             && matches!(self.marks, Value::Nil)
             && matches!(self.base_marks, Value::Nil)
-            && self.nested_depth == 0
     }
 
     /// A top-level entry found the machine mid-execution — possible only
@@ -701,7 +666,6 @@ impl Machine {
 
     /// Clears all execution state (used after an error escape).
     fn reset(&mut self) {
-        self.pending_block = false;
         self.stack.clear();
         self.frames.clear();
         self.next = None;
@@ -710,8 +674,6 @@ impl Machine {
         self.winders.clear();
         self.meta.clear();
         self.mark_stack.clear();
-        self.saved_states.clear();
-        self.temp_roots.clear();
     }
 
     // ------------------------------------------------------------------
@@ -719,14 +681,14 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Runs the interpreter loop to completion. Suspension cannot escape
-    /// here: nested executions run at depth > 0, and the sliced entry
-    /// points use [`Machine::run_loop`] directly.
+    /// here: only the sliced entry points (which use
+    /// [`Machine::run_loop`] directly) suspend.
     fn run_until_done(&mut self) -> VmResult<Value> {
         match self.run_loop()? {
             LoopExit::Done(v) => Ok(v),
             LoopExit::Suspended => Err(VmError::internal(
                 "run",
-                "suspension escaped a nested or unsliced run",
+                "suspension escaped an unsliced run",
             )),
         }
     }
@@ -736,35 +698,24 @@ impl Machine {
         // increment-and-mask, not a clock read.
         let mut tick: u32 = 0;
         loop {
-            if self.pending_block {
-                // A suspension is pending; take it at the first safe
-                // point. Fuel is no longer charged — a winder thunk in
-                // flight must finish (it is a critical section), and the
-                // wall-clock deadline still bounds it.
-                if self.nested_depth == 0 {
-                    return Ok(LoopExit::Suspended);
-                }
-            } else if let Some(fuel) = self.fuel.as_mut() {
+            // Empty fuel ends an unsliced run and suspends a sliced one
+            // (a slice ran out, or `%engine-block` spent the rest).
+            if let Some(fuel) = self.fuel.as_mut() {
                 if *fuel == 0 {
                     if !self.slice_mode {
                         return Err(VmErrorKind::OutOfFuel.into());
                     }
-                    self.pending_block = true;
-                    if self.nested_depth == 0 {
-                        return Ok(LoopExit::Suspended);
-                    }
-                } else {
-                    *fuel -= 1;
+                    return Ok(LoopExit::Suspended);
                 }
+                *fuel -= 1;
             }
             // GC safe point: every live edge is reachable from machine
-            // state here (`gather_roots`), including nested runs (the
-            // outer state sits in `saved_states`). Alloc trace events are
+            // state here (`gather_roots`). Alloc trace events are
             // drained in `collect_garbage` (so they precede the
             // `GcCollect` they triggered) and at run exit, not here — the
             // hot path pays a single `Cell` read per instruction.
             if self.config.gc_stress || heap::should_collect() {
-                self.collect_garbage();
+                self.collect_garbage(&[]);
             }
             self.check_heap_limit()?;
             self.trace(TraceKind::Step);
@@ -1412,7 +1363,6 @@ impl Machine {
                     base_marks: self.base_marks,
                     winders: self.winders.clone(),
                     meta_depth: self.meta.len(),
-                    nested_depth: self.nested_depth,
                     one_shot_used: if op == ControlOp::Call1cc {
                         Some(Cell::new(false))
                     } else {
@@ -1525,6 +1475,11 @@ impl Machine {
                 };
                 self.do_call(proc, vec![v], CallMode::NonTail)
             }
+            ControlOp::CallWinderThunk => {
+                let step = pop_arg(&mut args, "$call-winder-thunk")?;
+                self.discard_frame_if_tail(mode)?;
+                self.call_winder_thunk(step)
+            }
         }
     }
 
@@ -1561,150 +1516,139 @@ impl Machine {
 
     fn apply_continuation(&mut self, hk: HCont, v: Value) -> VmResult<Option<Value>> {
         let k = hk.data();
-        if k.nested_depth != self.nested_depth {
-            return Err(VmError::other(
-                "cannot apply a continuation across a winder-thunk boundary",
-            ));
+        // The one-shot flag must be read and set on the heap's copy: `k`
+        // is a clone whose cell is not aliased with it. It is set only
+        // when the jump lands, so the `(k v)` that ends `$wind-to` still
+        // finds it clear.
+        if k.one_shot_used.is_some() && hk.one_shot_used() {
+            return Err(VmErrorKind::OneShotReused.into());
+        }
+        let head = match &k.kind {
+            ContKind::Full { head } => head,
+            ContKind::Composable(comp) => return self.apply_composable(comp, v),
+        };
+        let (source_len, common) = self.winder_gap(&k)?;
+        if source_len > common || k.winders.len() > common {
+            // Winders to cross: the prelude's `$wind-to` runs their
+            // thunks as ordinary calls in this, the jump's own
+            // continuation, then applies `k` again.
+            let wind_to = self
+                .globals
+                .borrow()
+                .lookup(cm_sexpr::sym("$wind-to"))
+                .ok_or_else(|| VmError::unbound("$wind-to"))?;
+            let args = vec![Value::Cont(hk), v, Value::Bool(false)];
+            return self.do_call(wind_to, args, CallMode::NonTail);
         }
         if k.one_shot_used.is_some() {
-            // The one-shot flag must be read and set on the heap's copy:
-            // `k` is a clone whose cell is not aliased with it.
-            if hk.one_shot_used() {
-                return Err(VmErrorKind::OneShotReused.into());
-            }
             hk.set_one_shot_used();
         }
-        match &k.kind {
-            ContKind::Full { head } => {
-                if k.meta_depth > self.meta.len() {
-                    return Err(VmError::other("continuation's prompt is no longer active"));
-                }
-                self.meta.truncate(k.meta_depth);
-                // Pin the continuation and the delivered value: winder
-                // rewinding runs nested code with GC safe points, and `k`
-                // is only a Rust local.
-                let tr_base = self.temp_roots.len();
-                self.temp_roots.push(Value::Cont(hk));
-                self.temp_roots.push(v);
-                let rewound = self.rewind_winders(&k.winders);
-                self.temp_roots.truncate(tr_base);
-                rewound?;
-                if self.config.wrapped_control {
-                    let _wrap = Value::vector(vec![Value::Nil, k.marks]);
-                }
-                self.stack.clear();
-                self.frames.clear();
-                self.mark_stack.clear();
-                self.marks = k.marks;
-                self.base_marks = k.base_marks;
-                self.next = head.clone();
-                self.underflow(v)
-            }
-            ContKind::Composable(comp) => self.apply_composable(comp, v),
+        self.meta.truncate(k.meta_depth);
+        self.winders.clone_from(&k.winders);
+        if self.config.wrapped_control {
+            let _wrap = Value::vector(vec![Value::Nil, k.marks]);
         }
+        self.stack.clear();
+        self.frames.clear();
+        self.mark_stack.clear();
+        self.marks = k.marks;
+        self.base_marks = k.base_marks;
+        self.next = head.clone();
+        self.underflow(v)
     }
 
-    /// Runs the winder exits and entries needed to move from the current
-    /// winder stack to `target`.
-    fn rewind_winders(&mut self, target: &[Winder]) -> VmResult<()> {
-        let common = self
-            .winders
+    /// Compares the winder stack a jump to `k` leaves — the winders saved
+    /// in the prompt frames the jump drops, then the live ones — with
+    /// `k`'s. Returns that stack's length and the length of the prefix
+    /// the two share. Refuses a continuation whose prompt is gone.
+    fn winder_gap(&self, k: &ContData) -> VmResult<(usize, usize)> {
+        let dropped = self
+            .meta
+            .get(k.meta_depth..)
+            .ok_or_else(|| VmError::other("continuation's prompt is no longer active"))?;
+        let source_len =
+            dropped.iter().map(|mf| mf.winders.len()).sum::<usize>() + self.winders.len();
+        let common = dropped
             .iter()
-            .zip(target.iter())
+            .flat_map(|mf| &mf.winders)
+            .chain(&self.winders)
+            .zip(&k.winders)
             .take_while(|(a, b)| a.id == b.id)
             .count();
-        let exits = self.winders.split_off(common);
-        // Pin both winder lists: once split off (or while still only in
-        // `target`), their thunks and marks live in Rust locals, and each
-        // winder thunk runs nested code with GC safe points.
-        let tr_base = self.temp_roots.len();
-        push_winder_roots(&exits, &mut self.temp_roots);
-        push_winder_roots(&target[common..], &mut self.temp_roots);
-        let result = (|| {
-            for w in exits.iter().rev() {
-                self.run_winder_thunk(w.post, w.marks)?;
-            }
-            for w in &target[common..] {
-                self.run_winder_thunk(w.pre, w.marks)?;
-                self.winders.push(w.clone());
-            }
-            Ok(())
-        })();
-        self.temp_roots.truncate(tr_base);
-        result
+        Ok((source_len, common))
     }
 
-    /// Runs a winder thunk in a nested execution with the winder's saved
-    /// marks installed (paper footnote 4).
-    fn run_winder_thunk(&mut self, thunk: Value, marks: Value) -> VmResult<()> {
-        self.trace(TraceKind::WinderEnter);
-        let r = self.run_nested(thunk, Vec::new(), marks).map(drop);
-        if r.is_ok() {
-            // Journal-only: a winder that faults enters but never leaves,
-            // so `WinderLeave` has no mirrored counter.
+    /// One step of a jump's winder crossing (`$wind-step!`, looped over
+    /// by the prelude's `$wind-to`). `done` is the step whose thunk just
+    /// returned, or `#f`; an entered winder becomes active only now,
+    /// after its before-thunk returned. Returns the next step as
+    /// `(thunk marks entering?)` — leaving the innermost extent pops its
+    /// winder before the after-thunk runs, entering the outermost pending
+    /// one does not push yet — or `#f` once the winder stacks agree.
+    pub(crate) fn wind_step(&mut self, k: Value, done: Value) -> VmResult<Value> {
+        let Value::Cont(hk) = k else {
+            return Err(VmError::wrong_type("$wind-step!", "continuation", &k));
+        };
+        let k = hk.data();
+        if done.is_true() {
+            // Journal-only: a thunk that faults or escapes enters but
+            // never leaves, so `WinderLeave` has no mirrored counter.
             self.trace(TraceKind::WinderLeave);
-        }
-        r
-    }
-
-    /// Runs `f(args)` to completion in a nested execution context.
-    pub(crate) fn run_nested(
-        &mut self,
-        f: Value,
-        args: Vec<Value>,
-        marks: Value,
-    ) -> VmResult<Value> {
-        if self.nested_depth >= self.config.max_nested_executions {
-            return Err(VmErrorKind::NativeDepthExceeded {
-                limit: self.config.max_nested_executions,
-            }
-            .into());
-        }
-        // The outer run's state parks in `saved_states` (a machine field,
-        // not a Rust local) so the collector can reach it while the
-        // nested run hits safe points.
-        let saved = self.save_state();
-        self.saved_states.push(saved);
-        self.nested_depth += 1;
-        self.marks = marks;
-        self.base_marks = marks;
-        let result = (|| match self.do_call(f, args, CallMode::NonTail)? {
-            Some(v) => Ok(v),
-            None => self.run_until_done(),
-        })();
-        self.nested_depth -= 1;
-        match self.saved_states.pop() {
-            Some(saved) => self.restore_state(saved),
-            None => {
-                // Unreachable: pushes and pops are balanced above.
-                debug_assert!(false, "nested execution lost its saved state");
+            let (_, _, entering) = winder_step(done)?;
+            let (source_len, common) = self.winder_gap(&k)?;
+            if entering && source_len == common {
+                if let Some(w) = k.winders.get(common) {
+                    self.winders.push(w.clone());
+                }
             }
         }
-        result
+        let (source_len, common) = self.winder_gap(&k)?;
+        let (thunk, marks, entering) = if source_len > common {
+            let popped = match self.winders.pop() {
+                Some(w) => Some(w),
+                None => self.meta[k.meta_depth..]
+                    .iter_mut()
+                    .rev()
+                    .find_map(|mf| mf.winders.pop()),
+            };
+            let w = popped.ok_or_else(|| {
+                VmError::internal("wind-step", "winder stack shorter than its length")
+            })?;
+            (w.post, w.marks, false)
+        } else if let Some(w) = k.winders.get(common) {
+            (w.pre, w.marks, true)
+        } else {
+            return Ok(Value::Bool(false));
+        };
+        Ok(Value::list([thunk, marks, Value::Bool(entering)]))
     }
 
-    fn save_state(&mut self) -> SavedState {
-        SavedState {
-            stack: mem::take(&mut self.stack),
-            frames: mem::take(&mut self.frames),
-            next: self.next.take(),
-            marks: mem::replace(&mut self.marks, Value::Nil),
-            base_marks: mem::replace(&mut self.base_marks, Value::Nil),
-            winders: mem::take(&mut self.winders),
-            meta: mem::take(&mut self.meta),
-            mark_stack: mem::take(&mut self.mark_stack),
+    /// Calls a winder thunk (`$call-winder-thunk`) as an ordinary
+    /// non-tail call under its winder's marks (paper footnote 4). The
+    /// thunk gets a fresh segment bounded by an empty record carrying
+    /// those marks, so its own frame has no attachment; below that, the
+    /// caller's segment is frozen with the caller's marks. In the eager
+    /// model the fresh segment starts with a barrier entry that stands
+    /// for the winder's mark entries in place of every entry below it.
+    fn call_winder_thunk(&mut self, step: Value) -> VmResult<Option<Value>> {
+        let (thunk, marks, _) = winder_step(step)?;
+        let (attachments, entries) = if self.eager_marks() {
+            let (a, e) = marks
+                .car()
+                .zip(marks.cdr())
+                .ok_or_else(|| VmError::wrong_type("$call-winder-thunk", "winder marks", &marks))?;
+            (a, Some(e))
+        } else {
+            (marks, None)
+        };
+        self.trace(TraceKind::WinderEnter);
+        self.freeze_current(self.marks);
+        self.freeze_current(attachments);
+        self.marks = attachments;
+        if let Some(entries) = entries {
+            self.mark_stack.push(vec![(WINDER_MARKS, entries)]);
         }
-    }
-
-    fn restore_state(&mut self, s: SavedState) {
-        self.stack = s.stack;
-        self.frames = s.frames;
-        self.next = s.next;
-        self.marks = s.marks;
-        self.base_marks = s.base_marks;
-        self.winders = s.winders;
-        self.meta = s.meta;
-        self.mark_stack = s.mark_stack;
+        self.do_call(thunk, Vec::new(), CallMode::NonTail)
     }
 
     // ------------------------------------------------------------------
@@ -1713,9 +1657,8 @@ impl Machine {
 
     /// Every live edge of this machine's execution state, for the
     /// collector: operand stack, frame closures, the marks/attachment
-    /// registers, winders, eager mark entries, the underflow chain, prompt
-    /// (meta) frames, state saved around nested executions, and
-    /// temporarily pinned values. (Globals, live codes' constant pools,
+    /// registers, winders, eager mark entries, the underflow chain, and
+    /// prompt (meta) frames. (Globals, live codes' constant pools,
     /// suspended runs, and embedder-held results are standing roots owned
     /// by the heap itself.)
     fn gather_roots(&self, roots: &mut Vec<Value>) {
@@ -1735,10 +1678,6 @@ impl Machine {
         for mf in &self.meta {
             push_meta_roots(mf, roots);
         }
-        for s in &self.saved_states {
-            push_saved_roots(s, roots);
-        }
-        roots.extend_from_slice(&self.temp_roots);
     }
 
     /// Collects garbage now, rooting this machine's live state (plus the
@@ -1746,7 +1685,7 @@ impl Machine {
     /// points; public so embedders and tests can force a collection while
     /// the machine is idle (or between slices).
     pub fn collect_now(&mut self) -> GcReport {
-        self.collect_garbage()
+        self.collect_garbage(&[])
     }
 
     /// Like [`Machine::collect_now`], additionally rooting `extra` —
@@ -1754,11 +1693,7 @@ impl Machine {
     /// standing root reaches (e.g. a benchmark's working set built
     /// outside any run).
     pub fn collect_now_rooting(&mut self, extra: &[Value]) -> GcReport {
-        let keep = self.temp_roots.len();
-        self.temp_roots.extend_from_slice(extra);
-        let report = self.collect_garbage();
-        self.temp_roots.truncate(keep);
-        report
+        self.collect_garbage(extra)
     }
 
     /// Announces allocations made since the last drain as
@@ -1784,7 +1719,7 @@ impl Machine {
         if heap::bytes_estimate() <= limit {
             return Ok(());
         }
-        let report = self.collect_garbage();
+        let report = self.collect_garbage(&[]);
         if report.bytes_live > limit {
             return Err(VmErrorKind::HeapLimitExceeded {
                 limit,
@@ -1795,11 +1730,12 @@ impl Machine {
         Ok(())
     }
 
-    fn collect_garbage(&mut self) -> GcReport {
+    /// Collects now, rooting this machine's state plus `extra`.
+    fn collect_garbage(&mut self, extra: &[Value]) -> GcReport {
         // Alloc events first, so the records for the allocations that
         // triggered this collection precede its `GcCollect` record.
         self.drain_alloc_events();
-        let mut roots = Vec::new();
+        let mut roots = extra.to_vec();
         self.gather_roots(&mut roots);
         let report = heap::collect_with_roots(&roots);
         self.trace(TraceKind::GcCollect);
@@ -2006,7 +1942,6 @@ impl Machine {
             base_marks: boundary,
             winders: Vec::new(),
             meta_depth: self.meta.len(),
-            nested_depth: self.nested_depth,
             one_shot_used: None,
         }))
     }
@@ -2056,14 +1991,21 @@ impl Machine {
     // Winder bookkeeping (used by the `dynamic-wind` prelude definition)
     // ------------------------------------------------------------------
 
-    /// Pushes a winder extent; called by the `$push-winder` native.
+    /// Pushes a winder extent; called by the `$push-winder` native. The
+    /// eager model keeps its marks in mark-stack entries, so its winders
+    /// save those too (an O(depth) copy, like its continuation capture).
     pub(crate) fn push_winder(&mut self, pre: Value, post: Value) {
         self.winder_counter += 1;
+        let marks = if self.eager_marks() {
+            Value::cons(self.marks, self.eager_marks_value())
+        } else {
+            self.marks
+        };
         self.winders.push(Winder {
             id: self.winder_counter,
             pre,
             post,
-            marks: self.marks,
+            marks,
         });
     }
 
@@ -2096,9 +2038,34 @@ impl Machine {
     /// its underflow chain, then each meta frame's saved mark stack and
     /// chain (innermost prompt first). Prompts delimit *capture*, not
     /// mark visibility — the attachments model sees marks below a
-    /// prompt, so the eager model must too. The visitor returns `true`
-    /// to stop early.
+    /// prompt, so the eager model must too. A winder-thunk barrier
+    /// (see [`Machine::call_winder_thunk`]) ends the walk with its saved
+    /// entries. The visitor returns `true` to stop early.
     fn eager_walk_entries(&self, mut visit: impl FnMut(&MarkEntry) -> bool) {
+        /// Visits `entries` newest first; `true` once the walk is over.
+        fn walk(entries: &[MarkEntry], visit: &mut dyn FnMut(&MarkEntry) -> bool) -> bool {
+            for entry in entries.iter().rev() {
+                if let [(key, saved)] = entry.as_slice() {
+                    if key.eq_value(&WINDER_MARKS) {
+                        for alist in saved.list_to_vec().unwrap_or_default() {
+                            let pairs = alist.list_to_vec().unwrap_or_default();
+                            let entry: MarkEntry = pairs
+                                .iter()
+                                .filter_map(|p| Some((p.car()?, p.cdr()?)))
+                                .collect();
+                            if visit(&entry) {
+                                break;
+                            }
+                        }
+                        return true;
+                    }
+                }
+                if visit(entry) {
+                    return true;
+                }
+            }
+            false
+        }
         fn walk_chain(
             start: &Option<Rc<Underflow>>,
             visit: &mut dyn FnMut(&MarkEntry) -> bool,
@@ -2106,31 +2073,19 @@ impl Machine {
             let mut cur = start.clone();
             while let Some(u) = cur {
                 if let Some(seg) = u.seg.borrow().as_ref() {
-                    for entry in seg.mark_entries.iter().rev() {
-                        if visit(entry) {
-                            return true;
-                        }
+                    if walk(&seg.mark_entries, visit) {
+                        return true;
                     }
                 }
                 cur = u.next.clone();
             }
             false
         }
-        for entry in self.mark_stack.iter().rev() {
-            if visit(entry) {
-                return;
-            }
-        }
-        if walk_chain(&self.next, &mut visit) {
+        if walk(&self.mark_stack, &mut visit) || walk_chain(&self.next, &mut visit) {
             return;
         }
         for mf in self.meta.iter().rev() {
-            for entry in mf.mark_stack.iter().rev() {
-                if visit(entry) {
-                    return;
-                }
-            }
-            if walk_chain(&mf.next, &mut visit) {
+            if walk(&mf.mark_stack, &mut visit) || walk_chain(&mf.next, &mut visit) {
                 return;
             }
         }
@@ -2169,15 +2124,15 @@ impl Machine {
             .and_then(|entry| lookup_entry(entry, key))
     }
 
-    /// Materializes every mark entry (newest first), following the
-    /// underflow chain and the meta-continuation.
-    pub(crate) fn eager_all_entries(&self) -> Vec<MarkEntry> {
-        let mut out: Vec<MarkEntry> = Vec::new();
+    /// Every mark entry (newest first), following the underflow chain
+    /// and the meta-continuation, as a list of association lists.
+    pub(crate) fn eager_marks_value(&self) -> Value {
+        let mut out = Vec::new();
         self.eager_walk_entries(|entry| {
-            out.push(entry.clone());
+            out.push(Value::list(entry.iter().map(|&(k, v)| Value::cons(k, v))));
             false
         });
-        out
+        Value::list(out)
     }
 }
 
@@ -2245,23 +2200,21 @@ fn push_meta_roots(mf: &MetaFrame, roots: &mut Vec<Value>) {
     }
 }
 
-/// Pushes a nested execution's parked outer state.
-fn push_saved_roots(s: &SavedState, roots: &mut Vec<Value>) {
-    roots.extend_from_slice(&s.stack);
-    for f in &s.frames {
-        if let Some(cl) = f.closure {
-            roots.push(Value::Closure(cl));
-        }
-    }
-    roots.push(s.marks);
-    roots.push(s.base_marks);
-    push_chain_roots(&s.next, roots);
-    push_winder_roots(&s.winders, roots);
-    for mf in &s.meta {
-        push_meta_roots(mf, roots);
-    }
-    for entry in &s.mark_stack {
-        push_entry_roots(entry, roots);
+/// The key of the eager model's winder-thunk barrier entry
+/// `[(WINDER_MARKS, saved)]`: the native that installs it, which no
+/// program uses as a mark key.
+const WINDER_MARKS: Value = Value::Native(NativeId::named("$call-winder-thunk"));
+
+/// Unpacks a `(thunk marks entering?)` step built by
+/// [`Machine::wind_step`].
+fn winder_step(step: Value) -> VmResult<(Value, Value, bool)> {
+    match step.list_to_vec().as_deref() {
+        Some(&[thunk, marks, entering]) => Ok((thunk, marks, entering.is_true())),
+        _ => Err(VmError::wrong_type(
+            "winder step",
+            "(thunk marks entering?)",
+            &step,
+        )),
     }
 }
 

@@ -59,7 +59,7 @@ use super::{
 const MAGIC: &[u8; 4] = b"CMSN";
 
 /// Current snapshot wire-format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be produced or restored. Every decode failure
 /// is one of these — corrupted input never panics.
@@ -532,7 +532,6 @@ fn w_config(out: &mut Vec<u8>, c: &MachineConfig) {
         c.deadline
             .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
     );
-    w_u64(out, c.max_nested_executions as u64);
     w_bool(out, c.wrapped_control);
     w_bool(out, c.check_invariants);
     w_opt_u64(out, c.fault_plan.fail_prim_at);
@@ -554,7 +553,6 @@ fn r_config(rd: &mut Rd) -> Result<MachineConfig, SnapshotError> {
     let segment_frame_limit = rd.usize_("segment frame limit")?;
     let fuel = rd.opt_u64("fuel")?;
     let deadline = rd.opt_u64("deadline")?.map(Duration::from_nanos);
-    let max_nested_executions = rd.usize_("nested execution limit")?;
     let wrapped_control = rd.bool_("wrapped-control flag")?;
     let check_invariants = rd.bool_("invariant-check flag")?;
     let fail_prim_at = rd.opt_u64("fault plan prim counter")?;
@@ -570,7 +568,6 @@ fn r_config(rd: &mut Rd) -> Result<MachineConfig, SnapshotError> {
         segment_frame_limit,
         fuel,
         deadline,
-        max_nested_executions,
         wrapped_control,
         check_invariants,
         fault_plan: FaultPlan {
@@ -1108,7 +1105,6 @@ impl Enc {
                 self.val(data.base_marks, &mut buf);
                 self.winders(&data.winders, &mut buf);
                 w_u64(&mut buf, data.meta_depth as u64);
-                w_u64(&mut buf, data.nested_depth as u64);
                 match &data.one_shot_used {
                     Some(_) => {
                         w_u8(&mut buf, 1);
@@ -1194,7 +1190,6 @@ struct RawCont {
     base_marks: V,
     winders: Vec<RawWinder>,
     meta_depth: u64,
-    nested_depth: u64,
     one_shot: Option<bool>,
 }
 
@@ -1362,7 +1357,6 @@ fn r_cont(rd: &mut Rd) -> Result<RawCont, SnapshotError> {
         base_marks: r_v(rd)?,
         winders: r_winders(rd)?,
         meta_depth: rd.u64("meta depth")?,
-        nested_depth: rd.u64("nested depth")?,
         one_shot: if rd.bool_("one-shot flag")? {
             Some(rd.bool_("one-shot used")?)
         } else {
@@ -2013,8 +2007,6 @@ fn materialize(p: &Parsed) -> Result<Mat, SnapshotError> {
         };
         let meta_depth =
             usize::try_from(rc.meta_depth).map_err(|_| malformed("meta depth exceeds usize"))?;
-        let nested_depth = usize::try_from(rc.nested_depth)
-            .map_err(|_| malformed("nested depth exceeds usize"))?;
         heap::set_cont_data(
             mat.conts[i],
             ContData {
@@ -2023,7 +2015,6 @@ fn materialize(p: &Parsed) -> Result<Mat, SnapshotError> {
                 base_marks: mat.value(rc.base_marks)?,
                 winders: mat.build_winders(&rc.winders)?,
                 meta_depth,
-                nested_depth,
                 one_shot_used: rc.one_shot.map(Cell::new),
             },
         );
@@ -2431,6 +2422,18 @@ mod tests {
         let (code, _) = sample_program(&mut m);
         let run = suspend_after(&mut m, code, 4);
         m.snapshot_suspended(&run).expect("snapshot")
+    }
+
+    #[test]
+    fn version_two_snapshots_are_refused() {
+        // Version 2 carried a nested-execution limit in the config and a
+        // nested depth in every continuation.
+        let mut bytes = snapshot_bytes();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            Machine::restore_snapshot(&bytes),
+            Err(SnapshotError::UnsupportedVersion(2))
+        ));
     }
 
     #[test]

@@ -84,6 +84,9 @@ pub enum ControlOp {
     CallGettingAttachment,
     /// Uniform `call-consuming-continuation-attachment`.
     CallConsumingAttachment,
+    /// `$call-winder-thunk step` — run a jump's winder thunk under its
+    /// winder's marks.
+    CallWinderThunk,
 }
 
 /// Implementation of one native.
@@ -261,6 +264,14 @@ static NATIVES: &[NativeDef] = natives![
     // Machine
     ("$push-winder", 2, Some(2), Mach(m_push_winder), OBSERVER),
     ("$pop-winder", 0, Some(0), Mach(m_pop_winder), OBSERVER),
+    ("$wind-step!", 2, Some(2), Mach(m_wind_step), OBSERVER),
+    (
+        "$call-winder-thunk",
+        1,
+        Some(1),
+        Control(ControlOp::CallWinderThunk),
+        OBSERVER
+    ),
     (
         "current-continuation-attachments",
         0,
@@ -1713,10 +1724,7 @@ fn p_marks_to_list(args: &[Value]) -> VmResult<Value> {
 }
 
 fn m_eager_all_marks(m: &mut Machine, _args: Vec<Value>) -> VmResult<Value> {
-    let entries = m.eager_all_entries();
-    Ok(Value::list(entries.into_iter().map(|entry| {
-        Value::list(entry.into_iter().map(|(k, v)| Value::cons(k, v)))
-    })))
+    Ok(m.eager_marks_value())
 }
 
 // ----------------------------------------------------------------------
@@ -1747,6 +1755,11 @@ fn m_engine_block(m: &mut Machine, _args: Vec<Value>) -> VmResult<Value> {
 fn m_pop_winder(m: &mut Machine, _args: Vec<Value>) -> VmResult<Value> {
     m.pop_winder();
     Ok(Value::Void)
+}
+
+fn m_wind_step(m: &mut Machine, args: Vec<Value>) -> VmResult<Value> {
+    let [k, done] = take2(args, "$wind-step!")?;
+    m.wind_step(k, done)
 }
 
 fn m_current_attachments(m: &mut Machine, _args: Vec<Value>) -> VmResult<Value> {

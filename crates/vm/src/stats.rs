@@ -32,16 +32,18 @@ pub struct MachineStats {
     /// Non-tail calls that paid the eager-mark-stack tax (only nonzero in
     /// [`MarkModel::EagerMarkStack`](crate::MarkModel) mode).
     pub mark_stack_pushes: u64,
-    /// Winder thunks executed by `dynamic-wind` / continuation jumps.
+    /// Winder thunks run by continuation jumps (`$wind-to` in the
+    /// prelude). Thunks that `dynamic-wind` calls in normal flow are
+    /// ordinary calls and are not counted.
     pub winders_run: u64,
     /// Primitive and native calls (the boundaries where
     /// [`FaultPlan`](crate::FaultPlan) faults can be injected).
     pub prim_calls: u64,
     /// Faults injected by an armed [`FaultPlan`](crate::FaultPlan).
     pub injected_faults: u64,
-    /// Instructions executed (one per interpreter-loop iteration). The
-    /// scheduler's fairness accounting divides CPU by this, so it counts
-    /// nested (winder-thunk) execution too.
+    /// Instructions executed (one per interpreter-loop iteration), winder
+    /// thunks included: they run in the same loop as everything else. The
+    /// scheduler's fairness accounting divides CPU by this.
     pub steps_executed: u64,
     /// Sliced runs preempted into a
     /// [`SuspendedRun`](crate::SuspendedRun) — by fuel-slice exhaustion

@@ -23,7 +23,8 @@
 //!   `steps_executed`.
 //! - [`TraceKind::WinderLeave`] is journal-only (it closes the span that
 //!   [`TraceKind::WinderEnter`] opens); there is deliberately no stats
-//!   counter for it, since a winder thunk that faults never leaves.
+//!   counter for it, since a winder thunk that faults or escapes never
+//!   leaves.
 
 use crate::stats::MachineStats;
 
@@ -56,11 +57,12 @@ pub enum TraceKind {
     AttachPop = 7,
     /// An eager-model mark-stack entry pushed (old-Racket baseline only).
     MarkStackPush = 8,
-    /// A winder thunk execution began (`dynamic-wind` pre/post, whether by
-    /// normal flow or a continuation jump). Mirrors `winders_run`.
+    /// A continuation jump began running a winder thunk (a `dynamic-wind`
+    /// pre or post; normal-flow calls of them are not events). Mirrors
+    /// `winders_run`.
     WinderEnter = 9,
-    /// A winder thunk execution completed (journal-only; a faulting
-    /// winder enters but never leaves).
+    /// A jump-run winder thunk returned (journal-only; a thunk that
+    /// faults or escapes enters but never leaves).
     WinderLeave = 10,
     /// A primitive or native call boundary.
     PrimCall = 11,
@@ -213,7 +215,7 @@ pub struct TraceEvent {
     /// What happened.
     pub kind: TraceKind,
     /// `steps_executed` at the time of the event (a global, monotone
-    /// logical clock across suspensions and nested executions).
+    /// logical clock across suspensions).
     pub step: u64,
     /// Number of live frames in the current segment at the time of the
     /// event (the frozen chain is not walked: recording is O(1)).

@@ -82,9 +82,10 @@ pub struct Winder {
     pub post: Value,
     /// Marks of the `dynamic-wind` call's continuation, restored while a
     /// continuation jump runs one of the thunks (paper footnote 4). In
-    /// the eager model this is `(attachments . entries)`: the marks
-    /// register and every mark-stack entry, as a list of association
-    /// lists.
+    /// the eager model this is `(attachments . depth)`: the marks
+    /// register and how many mark-stack entries the call's prompt
+    /// context had, which a jump reads back from the bottom of a
+    /// continuation that extends the call.
     pub marks: Value,
 }
 

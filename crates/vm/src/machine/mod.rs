@@ -24,6 +24,7 @@ mod snapshot;
 pub use snapshot::{RestoredRun, SnapshotError};
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem;
 use std::rc::Rc;
@@ -281,6 +282,11 @@ pub struct Machine {
     /// (drives [`FaultPlan::fail_prim_at`](crate::FaultPlan) injection).
     prim_count: u64,
     winder_counter: u64,
+    /// Global slot of the prelude's `$wind-to`, which a continuation jump
+    /// calls to cross winders. Interned right after the natives, so every
+    /// machine built the same way gives it the same id; once defined, a
+    /// program cannot rebind it.
+    wind_to: u32,
 }
 
 impl std::fmt::Debug for Machine {
@@ -304,7 +310,11 @@ impl Machine {
     /// Creates a machine over an existing global table (installing the
     /// natives into it).
     pub fn with_globals(config: MachineConfig, globals: Rc<RefCell<Globals>>) -> Machine {
-        prims::install(&mut globals.borrow_mut());
+        let wind_to = {
+            let mut g = globals.borrow_mut();
+            prims::install(&mut g);
+            g.intern(cm_sexpr::sym("$wind-to"))
+        };
         // The globals table is a standing GC root: values defined during
         // this machine's runs must survive collections triggered by other
         // machines on the same thread.
@@ -334,6 +344,7 @@ impl Machine {
             deadline_at: None,
             prim_count: 0,
             winder_counter: 0,
+            wind_to,
         }
     }
 
@@ -642,10 +653,7 @@ impl Machine {
     fn finish_run(&mut self, r: VmResult<Value>) -> VmResult<Value> {
         let out = match r {
             Ok(v) => {
-                self.marks = Value::Nil;
-                self.base_marks = Value::Nil;
-                self.winders.clear();
-                self.mark_stack.clear();
+                self.reset();
                 Ok(v)
             }
             Err(e) => {
@@ -787,7 +795,13 @@ impl Machine {
                 }
                 Instr::GlobalSet(id) => {
                     let v = self.pop_value("global-set")?;
-                    self.globals.borrow_mut().set(id, v);
+                    let mut g = self.globals.borrow_mut();
+                    if id == self.wind_to && g.get(id).is_some() {
+                        return Err(VmError::other(
+                            "cannot redefine $wind-to: continuation jumps call it",
+                        ));
+                    }
+                    g.set(id, v);
                 }
                 Instr::MakeClosure { code, captures } => {
                     let n = captures as usize;
@@ -1527,24 +1541,38 @@ impl Machine {
             ContKind::Full { head } => head,
             ContKind::Composable(comp) => return self.apply_composable(comp, v),
         };
-        let (source_len, common) = self.winder_gap(&k)?;
-        if source_len > common || k.winders.len() > common {
-            // Winders to cross: the prelude's `$wind-to` runs their
-            // thunks as ordinary calls in this, the jump's own
-            // continuation, then applies `k` again.
-            let wind_to = self
-                .globals
-                .borrow()
-                .lookup(cm_sexpr::sym("$wind-to"))
-                .ok_or_else(|| VmError::unbound("$wind-to"))?;
-            let args = vec![Value::Cont(hk), v, Value::Bool(false)];
-            return self.do_call(wind_to, args, CallMode::NonTail);
+        // Prompts above `k`'s are left innermost first, as Racket CS
+        // unwinds metacontinuation frames: a prompt's frame is dropped
+        // once the extents entered inside it are left, and the extents
+        // saved in the frame are then left from the prompt's own
+        // continuation. So no after-thunk runs inside a prompt the jump
+        // has left, and none can abort to it or re-enter it.
+        loop {
+            let target = self.wind_target(&k)?;
+            let common = common_winders(&self.winders, target);
+            if self.winders.len() > common || target.len() > common {
+                // Winders to cross: the prelude's `$wind-to` runs their
+                // thunks as ordinary calls in this, the jump's own
+                // continuation, then applies `k` again.
+                let wind_to = self
+                    .globals
+                    .borrow()
+                    .get(self.wind_to)
+                    .copied()
+                    .ok_or_else(|| VmError::unbound("$wind-to"))?;
+                let args = vec![Value::Cont(hk), v, Value::Bool(false)];
+                return self.do_call(wind_to, args, CallMode::NonTail);
+            }
+            if self.meta.len() == k.meta_depth {
+                break;
+            }
+            if let Some(mf) = self.meta.pop() {
+                self.restore_meta(mf);
+            }
         }
         if k.one_shot_used.is_some() {
             hk.set_one_shot_used();
         }
-        self.meta.truncate(k.meta_depth);
-        self.winders.clone_from(&k.winders);
         if self.config.wrapped_control {
             let _wrap = Value::vector(vec![Value::Nil, k.marks]);
         }
@@ -1557,25 +1585,15 @@ impl Machine {
         self.underflow(v)
     }
 
-    /// Compares the winder stack a jump to `k` leaves — the winders saved
-    /// in the prompt frames the jump drops, then the live ones — with
-    /// `k`'s. Returns that stack's length and the length of the prefix
-    /// the two share. Refuses a continuation whose prompt is gone.
-    fn winder_gap(&self, k: &ContData) -> VmResult<(usize, usize)> {
-        let dropped = self
-            .meta
-            .get(k.meta_depth..)
-            .ok_or_else(|| VmError::other("continuation's prompt is no longer active"))?;
-        let source_len =
-            dropped.iter().map(|mf| mf.winders.len()).sum::<usize>() + self.winders.len();
-        let common = dropped
-            .iter()
-            .flat_map(|mf| &mf.winders)
-            .chain(&self.winders)
-            .zip(&k.winders)
-            .take_while(|(a, b)| a.id == b.id)
-            .count();
-        Ok((source_len, common))
+    /// The winders a jump to `k` must reach in the current prompt
+    /// context: none while a prompt above `k`'s remains, then `k`'s own.
+    /// Refuses a continuation whose prompt is gone.
+    fn wind_target<'k>(&self, k: &'k ContData) -> VmResult<&'k [Winder]> {
+        match self.meta.len().cmp(&k.meta_depth) {
+            Ordering::Less => Err(VmError::other("continuation's prompt is no longer active")),
+            Ordering::Equal => Ok(&k.winders),
+            Ordering::Greater => Ok(&[]),
+        }
     }
 
     /// One step of a jump's winder crossing (`$wind-step!`, looped over
@@ -1584,42 +1602,45 @@ impl Machine {
     /// after its before-thunk returned. Returns the next step as
     /// `(thunk marks entering?)` — leaving the innermost extent pops its
     /// winder before the after-thunk runs, entering the outermost pending
-    /// one does not push yet — or `#f` once the winder stacks agree.
+    /// one does not push yet — or `#f` once the current prompt context's
+    /// winders agree with the jump's target.
     pub(crate) fn wind_step(&mut self, k: Value, done: Value) -> VmResult<Value> {
         let Value::Cont(hk) = k else {
             return Err(VmError::wrong_type("$wind-step!", "continuation", &k));
         };
         let k = hk.data();
+        let target = self.wind_target(&k)?;
         if done.is_true() {
             // Journal-only: a thunk that faults or escapes enters but
             // never leaves, so `WinderLeave` has no mirrored counter.
             self.trace(TraceKind::WinderLeave);
             let (_, _, entering) = winder_step(done)?;
-            let (source_len, common) = self.winder_gap(&k)?;
-            if entering && source_len == common {
-                if let Some(w) = k.winders.get(common) {
+            let n = self.winders.len();
+            if entering && common_winders(&self.winders, target) == n {
+                if let Some(w) = target.get(n) {
                     self.winders.push(w.clone());
                 }
             }
         }
-        let (source_len, common) = self.winder_gap(&k)?;
-        let (thunk, marks, entering) = if source_len > common {
-            let popped = match self.winders.pop() {
-                Some(w) => Some(w),
-                None => self.meta[k.meta_depth..]
-                    .iter_mut()
-                    .rev()
-                    .find_map(|mf| mf.winders.pop()),
-            };
-            let w = popped.ok_or_else(|| {
+        let common = common_winders(&self.winders, target);
+        let (w, entering) = if self.winders.len() > common {
+            let w = self.winders.pop().ok_or_else(|| {
                 VmError::internal("wind-step", "winder stack shorter than its length")
             })?;
-            (w.post, w.marks, false)
-        } else if let Some(w) = k.winders.get(common) {
-            (w.pre, w.marks, true)
+            (w, false)
+        } else if let Some(w) = target.get(common) {
+            (w.clone(), true)
         } else {
             return Ok(Value::Bool(false));
         };
+        // An eager winder's `(attachments . depth)` gains where its
+        // entries are found: below the thunk when leaving, in `k`.
+        let marks = match (self.eager_marks(), entering) {
+            (false, _) => w.marks,
+            (true, false) => Value::cons(Value::Bool(false), w.marks),
+            (true, true) => Value::cons(Value::Cont(hk), w.marks),
+        };
+        let thunk = if entering { w.pre } else { w.post };
         Ok(Value::list([thunk, marks, Value::Bool(entering)]))
     }
 
@@ -1628,26 +1649,29 @@ impl Machine {
     /// thunk gets a fresh segment bounded by an empty record carrying
     /// those marks, so its own frame has no attachment; below that, the
     /// caller's segment is frozen with the caller's marks. In the eager
-    /// model the fresh segment starts with a barrier entry that stands
-    /// for the winder's mark entries in place of every entry below it.
+    /// model that record holds one barrier entry, `(where attachments .
+    /// depth)`, which shows the thunk the bottom `depth` entries of
+    /// `where` — the chain below, or a continuation's — in place of
+    /// every entry below it, as old Racket reset its mark stack to a
+    /// winder's saved position.
     fn call_winder_thunk(&mut self, step: Value) -> VmResult<Option<Value>> {
         let (thunk, marks, _) = winder_step(step)?;
-        let (attachments, entries) = if self.eager_marks() {
-            let (a, e) = marks
-                .car()
-                .zip(marks.cdr())
-                .ok_or_else(|| VmError::wrong_type("$call-winder-thunk", "winder marks", &marks))?;
-            (a, Some(e))
+        let attachments = if self.eager_marks() {
+            marks
+                .cdr()
+                .and_then(|m| m.car())
+                .ok_or_else(|| VmError::wrong_type("$call-winder-thunk", "winder marks", &marks))?
         } else {
-            (marks, None)
+            marks
         };
         self.trace(TraceKind::WinderEnter);
         self.freeze_current(self.marks);
+        if self.eager_marks() {
+            self.mark_stack
+                .push(vec![(Value::Native(prims::WINDER_MARKS), marks)]);
+        }
         self.freeze_current(attachments);
         self.marks = attachments;
-        if let Some(entries) = entries {
-            self.mark_stack.push(vec![(WINDER_MARKS, entries)]);
-        }
         self.do_call(thunk, Vec::new(), CallMode::NonTail)
     }
 
@@ -1992,12 +2016,15 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Pushes a winder extent; called by the `$push-winder` native. The
-    /// eager model keeps its marks in mark-stack entries, so its winders
-    /// save those too (an O(depth) copy, like its continuation capture).
+    /// eager model keeps its marks in mark-stack entries, which a jump
+    /// finds again at the bottom of a continuation that extends this
+    /// call's, so its winders save only how many there are (as old
+    /// Racket saved a mark-stack position).
     pub(crate) fn push_winder(&mut self, pre: Value, post: Value) {
         self.winder_counter += 1;
         let marks = if self.eager_marks() {
-            Value::cons(self.marks, self.eager_marks_value())
+            let depth = eager_context_depth(&self.mark_stack, &self.next);
+            Value::cons(self.marks, Value::Fixnum(depth as i64))
         } else {
             self.marks
         };
@@ -2039,32 +2066,12 @@ impl Machine {
     /// chain (innermost prompt first). Prompts delimit *capture*, not
     /// mark visibility — the attachments model sees marks below a
     /// prompt, so the eager model must too. A winder-thunk barrier
-    /// (see [`Machine::call_winder_thunk`]) ends the walk with its saved
-    /// entries. The visitor returns `true` to stop early.
+    /// (see [`Machine::call_winder_thunk`]) ends its chain with the
+    /// entries it stands for. The visitor returns `true` to stop early.
     fn eager_walk_entries(&self, mut visit: impl FnMut(&MarkEntry) -> bool) {
         /// Visits `entries` newest first; `true` once the walk is over.
         fn walk(entries: &[MarkEntry], visit: &mut dyn FnMut(&MarkEntry) -> bool) -> bool {
-            for entry in entries.iter().rev() {
-                if let [(key, saved)] = entry.as_slice() {
-                    if key.eq_value(&WINDER_MARKS) {
-                        for alist in saved.list_to_vec().unwrap_or_default() {
-                            let pairs = alist.list_to_vec().unwrap_or_default();
-                            let entry: MarkEntry = pairs
-                                .iter()
-                                .filter_map(|p| Some((p.car()?, p.cdr()?)))
-                                .collect();
-                            if visit(&entry) {
-                                break;
-                            }
-                        }
-                        return true;
-                    }
-                }
-                if visit(entry) {
-                    return true;
-                }
-            }
-            false
+            entries.iter().rev().any(visit)
         }
         fn walk_chain(
             start: &Option<Rc<Underflow>>,
@@ -2073,6 +2080,16 @@ impl Machine {
             let mut cur = start.clone();
             while let Some(u) = cur {
                 if let Some(seg) = u.seg.borrow().as_ref() {
+                    if let Some((chain, depth)) = barrier(seg, &u) {
+                        let mut skip = eager_context_depth(&[], &chain).saturating_sub(depth);
+                        return walk_chain(&chain, &mut |e| {
+                            if skip == 0 {
+                                return visit(e);
+                            }
+                            skip -= 1;
+                            false
+                        });
+                    }
                     if walk(&seg.mark_entries, visit) {
                         return true;
                     }
@@ -2200,10 +2217,53 @@ fn push_meta_roots(mf: &MetaFrame, roots: &mut Vec<Value>) {
     }
 }
 
-/// The key of the eager model's winder-thunk barrier entry
-/// `[(WINDER_MARKS, saved)]`: the native that installs it, which no
-/// program uses as a mark key.
-const WINDER_MARKS: Value = Value::Native(NativeId::named("$call-winder-thunk"));
+/// For the record `u` whose segment `seg` is a winder-thunk barrier
+/// (see [`Machine::call_winder_thunk`]): the chain whose bottom `depth`
+/// mark entries it stands for. No global binds the barrier's key, so no
+/// program can build one.
+fn barrier(seg: &Segment, u: &Underflow) -> Option<(Option<Rc<Underflow>>, usize)> {
+    let [entry] = seg.mark_entries.as_slice() else {
+        return None;
+    };
+    let [(Value::Native(prims::WINDER_MARKS), saved)] = entry.as_slice() else {
+        return None;
+    };
+    let Some(Value::Fixnum(depth)) = saved.cdr().and_then(|m| m.cdr()) else {
+        return None;
+    };
+    let chain = match saved.car() {
+        Some(Value::Cont(k)) => match k.data().kind {
+            ContKind::Full { head } => head,
+            ContKind::Composable(_) => None,
+        },
+        _ => u.next.clone(),
+    };
+    Some((chain, usize::try_from(depth).unwrap_or(0)))
+}
+
+/// How many eager mark entries are visible from the prompt context whose
+/// live entries are `live` and whose chain starts at `head`, not counting
+/// the meta frames below it. A barrier stands for its `depth` entries and
+/// ends the count, so this costs one step per segment, not per entry.
+fn eager_context_depth(live: &[MarkEntry], head: &Option<Rc<Underflow>>) -> usize {
+    let mut depth = live.len();
+    let mut cur = head.clone();
+    while let Some(u) = cur {
+        if let Some(seg) = u.seg.borrow().as_ref() {
+            if let Some((_, below)) = barrier(seg, &u) {
+                return depth + below;
+            }
+            depth += seg.mark_entries.len();
+        }
+        cur = u.next.clone();
+    }
+    depth
+}
+
+/// How many winders, from the outermost, two winder stacks share.
+fn common_winders(a: &[Winder], b: &[Winder]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x.id == y.id).count()
+}
 
 /// Unpacks a `(thunk marks entering?)` step built by
 /// [`Machine::wind_step`].

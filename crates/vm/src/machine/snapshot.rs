@@ -650,37 +650,35 @@ struct Enc {
     under_buf: Vec<u8>,
 }
 
+/// The id of the object keyed `key` in its kind's queue `q`, enqueueing
+/// it on first sight: ids are dense and in discovery order.
+fn queue_id<K: Eq + std::hash::Hash, T>(
+    ids: &mut HashMap<K, u32>,
+    q: &mut Vec<T>,
+    key: K,
+    item: impl FnOnce() -> T,
+) -> u32 {
+    *ids.entry(key).or_insert_with(|| {
+        q.push(item());
+        (q.len() - 1) as u32
+    })
+}
+
 impl Enc {
     fn sym_id(&mut self, s: Sym) -> u32 {
-        if let Some(&i) = self.sym_ids.get(&s) {
-            return i;
-        }
-        let i = self.syms.len() as u32;
-        self.syms.push(s);
-        self.sym_ids.insert(s, i);
-        i
+        queue_id(&mut self.sym_ids, &mut self.syms, s, || s)
     }
 
     fn code_id(&mut self, c: &Rc<Code>) -> u32 {
-        let p = Rc::as_ptr(c);
-        if let Some(&i) = self.code_ids.get(&p) {
-            return i;
-        }
-        let i = self.code_q.len() as u32;
-        self.code_q.push(c.clone());
-        self.code_ids.insert(p, i);
-        i
+        queue_id(&mut self.code_ids, &mut self.code_q, Rc::as_ptr(c), || {
+            c.clone()
+        })
     }
 
     fn seg_id(&mut self, s: &Rc<Segment>) -> u32 {
-        let p = Rc::as_ptr(s);
-        if let Some(&i) = self.seg_ids.get(&p) {
-            return i;
-        }
-        let i = self.seg_q.len() as u32;
-        self.seg_q.push(s.clone());
-        self.seg_ids.insert(p, i);
-        i
+        queue_id(&mut self.seg_ids, &mut self.seg_q, Rc::as_ptr(s), || {
+            s.clone()
+        })
     }
 
     /// One dedup table for every underflow record, keyed by `Rc`
@@ -689,94 +687,44 @@ impl Enc {
     /// sharing (preserving `eq?` on continuations and the strong counts
     /// that one-shot fusion keys off).
     fn under_id(&mut self, u: &Rc<Underflow>) -> u32 {
-        let p = Rc::as_ptr(u);
-        if let Some(&i) = self.under_ids.get(&p) {
-            return i;
-        }
-        let i = self.under_q.len() as u32;
-        self.under_q.push(u.clone());
-        self.under_ids.insert(p, i);
-        i
+        queue_id(
+            &mut self.under_ids,
+            &mut self.under_q,
+            Rc::as_ptr(u),
+            || u.clone(),
+        )
     }
 
     fn str_id(&mut self, h: HStr) -> u32 {
-        if let Some(&i) = self.str_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.str_q.len() as u32;
-        self.str_q.push(h);
-        self.str_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.str_ids, &mut self.str_q, h.0, || h)
     }
 
     fn pair_id(&mut self, h: HPair) -> u32 {
-        if let Some(&i) = self.pair_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.pair_q.len() as u32;
-        self.pair_q.push(h);
-        self.pair_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.pair_ids, &mut self.pair_q, h.0, || h)
     }
 
     fn vec_id(&mut self, h: HVec) -> u32 {
-        if let Some(&i) = self.vec_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.vec_q.len() as u32;
-        self.vec_q.push(h);
-        self.vec_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.vec_ids, &mut self.vec_q, h.0, || h)
     }
 
     fn box_id(&mut self, h: HBox) -> u32 {
-        if let Some(&i) = self.box_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.box_q.len() as u32;
-        self.box_q.push(h);
-        self.box_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.box_ids, &mut self.box_q, h.0, || h)
     }
 
     fn table_id(&mut self, h: HTable) -> u32 {
-        if let Some(&i) = self.table_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.table_q.len() as u32;
-        self.table_q.push(h);
-        self.table_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.table_ids, &mut self.table_q, h.0, || h)
     }
 
     fn rec_id(&mut self, h: HRecord) -> u32 {
-        if let Some(&i) = self.rec_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.rec_q.len() as u32;
-        self.rec_q.push(h);
-        self.rec_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.rec_ids, &mut self.rec_q, h.0, || h)
     }
 
     fn clo_id(&mut self, h: HClosure) -> u32 {
-        if let Some(&i) = self.clo_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.clo_q.len() as u32;
-        self.clo_q.push(h);
-        self.clo_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.clo_ids, &mut self.clo_q, h.0, || h)
     }
 
     fn cont_id(&mut self, h: HCont) -> u32 {
-        if let Some(&i) = self.cont_ids.get(&h.0) {
-            return i;
-        }
-        let i = self.cont_q.len() as u32;
-        self.cont_q.push(h);
-        self.cont_ids.insert(h.0, i);
-        i
+        queue_id(&mut self.cont_ids, &mut self.cont_q, h.0, || h)
     }
 
     fn val(&mut self, v: Value, out: &mut Vec<u8>) {

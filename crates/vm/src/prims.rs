@@ -803,7 +803,14 @@ static NATIVES: &[NativeDef] = natives![
     // safe point of a sliced run; a no-op elsewhere. Returns
     // whether the request took effect.
     ("%engine-block", 0, Some(0), Mach(m_engine_block), OBSERVER),
+    // Bound by no global (see `WINDER_MARKS`).
+    ("#<winder-marks>", 0, Some(0), Pure(|_| Ok(Value::Void))),
 ];
+
+/// The row [`install`] leaves out, so no program can name it: the eager
+/// model's key for the entry that shows a jump-run winder thunk its
+/// winder's marks.
+pub(crate) const WINDER_MARKS: NativeId = NativeId::named("#<winder-marks>");
 
 /// Every row with its handle, in table order.
 pub fn all() -> impl Iterator<Item = (NativeId, &'static NativeDef)> {
@@ -821,9 +828,9 @@ pub fn lookup(name: Sym) -> Option<NativeId> {
         .copied()
 }
 
-/// Installs every native into `globals`.
+/// Installs every native into `globals`, except [`WINDER_MARKS`].
 pub fn install(globals: &mut crate::machine::Globals) {
-    for (id, d) in all() {
+    for (id, d) in all().filter(|&(id, _)| id != WINDER_MARKS) {
         globals.define(cm_sexpr::sym(d.name), Value::Native(id));
     }
 }
